@@ -102,29 +102,56 @@ def write_design_csv(X, path) -> None:
 # ---------------------------------------------------------------------------
 
 
+def _required(block: dict, key, path: str = ""):
+    """``block[key]``, or a one-line error naming the missing field."""
+    try:
+        return block[key]
+    except KeyError:
+        name = f"{path}.{key}" if path else str(key)
+        raise click.ClickException(f"{name} is required") from None
+
+
 def _build_vc(block: dict) -> VarianceComponents:
-    if "rho" in block:
-        return VarianceComponents.from_rho(block.get("sigma2", 1.0), block["rho"])
-    if "rho0" in block:
-        return VarianceComponents.from_correlations(
-            block.get("sigma2", 1.0),
-            block["rho0"],
-            block["rho1"],
-            block["rho2"],
+    sigma2 = block.get("sigma2", 1.0)
+    try:
+        if "rho" in block:
+            field = "model.rho"
+            vc = VarianceComponents.from_rho(sigma2, block["rho"])
+        elif "rho0" in block:
+            field = "model.rho0/rho1/rho2"
+            vc = VarianceComponents.from_correlations(
+                sigma2,
+                block["rho0"],
+                _required(block, "rho1", "model"),
+                _required(block, "rho2", "model"),
+            )
+        else:
+            field = "model"
+            vc = VarianceComponents(
+                sigma2_c=block.get("sigma2_c", 0.0),
+                sigma2_theta=block.get("sigma2_theta", 0.0),
+                sigma2_s=block.get("sigma2_s", 0.0),
+                sigma2_eps=block.get("sigma2_eps", 1.0),
+            )
+    except ValueError as exc:
+        raise click.ClickException(f"{field}: {exc}") from None
+    if vc.sigma2_eps <= 0:
+        raise click.ClickException(
+            f"{field}: leaves no residual variance (sigma2_eps = "
+            f"{vc.sigma2_eps!r}), so the marginal covariance is singular"
         )
-    return VarianceComponents(
-        sigma2_c=block.get("sigma2_c", 0.0),
-        sigma2_theta=block.get("sigma2_theta", 0.0),
-        sigma2_s=block.get("sigma2_s", 0.0),
-        sigma2_eps=block.get("sigma2_eps", 1.0),
-    )
+    return vc
 
 
 def _build_restrictions(names) -> tuple:
     out = []
-    for item in names or []:
+    for i, item in enumerate(names or []):
+        field = f"space.restrictions[{i}]"
         if isinstance(item, str):
-            out.append(restriction_from_name(item))
+            try:
+                out.append(restriction_from_name(item))
+            except ValueError as exc:
+                raise click.ClickException(f"{field}: {exc}") from None
         elif isinstance(item, dict) and "allowed_sequences" in item:
             out.append(
                 CustomPredicate(
@@ -136,27 +163,31 @@ def _build_restrictions(names) -> tuple:
                 )
             )
         else:
-            raise click.ClickException(f"unrecognized restriction: {item!r}")
+            raise click.ClickException(
+                f"{field}: unrecognized restriction {item!r}"
+            )
     return tuple(out)
 
 
-def _build_space(block: dict) -> DesignSpace:
-    D = block["D"]
+def _build_space(cfg: dict) -> DesignSpace:
+    block = _required(cfg, "space")
+    D = _required(block, "D", "space")
     restrictions = _build_restrictions(block.get("restrictions"))
-    T_values = block["T"] if isinstance(block["T"], list) else [block["T"]]
-    C_block = block["C"]
+    T_block = _required(block, "T", "space")
+    T_values = T_block if isinstance(T_block, list) else [T_block]
+    C_block = _required(block, "C", "space")
     if isinstance(C_block, dict):
         C_sets = {int(t): tuple(cs) for t, cs in C_block.items()}
     else:
         Cs = tuple(C_block) if isinstance(C_block, list) else (C_block,)
         C_sets = {T: Cs for T in T_values}
-    m_block = block["m"]
+    m_block = _required(block, "m", "space")
     M_sets = {}
     for T in T_values:
-        for C in C_sets[T]:
+        for C in _required(C_sets, T, "space.C"):
             if isinstance(m_block, dict):
                 lo = m_block.get("min", 2)
-                hi = m_block["budget"] // T
+                hi = _required(m_block, "budget", "space.m") // T
                 if hi < lo:
                     raise click.ClickException(
                         f"budget {m_block['budget']} admits no m >= {lo} "
@@ -176,24 +207,41 @@ def _build_space(block: dict) -> DesignSpace:
     )
 
 
-def _build_power(block: dict | None) -> PowerSpec:
+def _build_power(block: dict | None, q: int) -> PowerSpec:
+    """Power settings for ``q`` treatment effects.
+
+    ``delta`` must have ``q`` entries when a power requirement is set
+    (``beta < 1``) or a ``delta`` is given at all.
+    """
     block = block or {}
-    return PowerSpec(
-        alpha=block.get("alpha", 0.05),
-        correction=block.get("correction", "bonferroni"),
-        beta=block.get("beta", 1.0),
-        delta=block.get("delta", []),
-        power_type=block.get("power_type", "individual"),
-    )
+    try:
+        spec = PowerSpec(
+            alpha=block.get("alpha", 0.05),
+            correction=block.get("correction", "bonferroni"),
+            beta=block.get("beta", 1.0),
+            delta=block.get("delta", []),
+            power_type=block.get("power_type", "individual"),
+        )
+    except ValueError as exc:
+        raise click.ClickException(f"power: {exc}") from None
+    if spec.q != q and (spec.beta < 1 or spec.q):
+        raise click.ClickException(
+            f"power.delta has {spec.q} entries but space.D = {q + 1} "
+            f"needs {q}, one per intervention effect"
+        )
+    return spec
 
 
 def _build_objective(block: dict | None) -> Objective:
     block = block or {}
-    return Objective(
-        w=block.get("w", 0.0),
-        criterion=criterion_from_name(block.get("criterion", "E")),
-        cost_fn=total_observations,
-    )
+    try:
+        return Objective(
+            w=block.get("w", 0.0),
+            criterion=criterion_from_name(block.get("criterion", "E")),
+            cost_fn=total_observations,
+        )
+    except ValueError as exc:
+        raise click.ClickException(f"objective: {exc}") from None
 
 
 def load_config(path) -> dict:
@@ -320,9 +368,9 @@ def main():
 
 def _common_eval(cfg, design_path, m_override):
     vc = _build_vc(cfg.get("model", {}))
-    spec = _build_power(cfg.get("power"))
     X = read_design_csv(design_path)
     D = cfg.get("space", {}).get("D") or int(X.max()) + 1
+    spec = _build_power(cfg.get("power"), int(D) - 1)
     m = m_override or cfg.get("design", {}).get("m")
     if m is None:
         raise click.ClickException(
@@ -399,9 +447,9 @@ def search(config_path, workers, seed, out, compare_path):
     cfg = load_config(config_path)
     workers = _workers_option(workers)
     vc = _build_vc(cfg.get("model", {}))
-    spec = _build_power(cfg.get("power"))
+    space = _build_space(cfg)
+    spec = _build_power(cfg.get("power"), space.D - 1)
     objective = _build_objective(cfg.get("objective"))
-    space = _build_space(cfg["space"])
     try:
         result = exhaustive_search(
             space, vc, spec, objective, workers=workers,
@@ -459,9 +507,9 @@ def ce_search(config_path, seed, out):
     """Cross-entropy stochastic search at fixed (m, C, T)."""
     cfg = load_config(config_path)
     vc = _build_vc(cfg.get("model", {}))
-    spec = _build_power(cfg.get("power"))
+    space = _build_space(cfg)
+    spec = _build_power(cfg.get("power"), space.D - 1)
     objective = _build_objective(cfg.get("objective"))
-    space = _build_space(cfg["space"])
     blocks = list(space.blocks())
     if len(blocks) != 1:
         raise click.ClickException(
@@ -518,9 +566,9 @@ def sensitivity(config_path, design_path, workers, seed, out):
     """Optimal-design map over a (sigma2_c, sigma2_eps) grid."""
     cfg = load_config(config_path)
     workers = _workers_option(workers)
-    spec = _build_power(cfg.get("power"))
+    space = _build_space(cfg)
+    spec = _build_power(cfg.get("power"), space.D - 1)
     objective = _build_objective(cfg.get("objective"))
-    space = _build_space(cfg["space"])
     g = cfg.get("sensitivity", {})
     grid = GridSpec(
         sigma2_c_range=tuple(g.get("sigma2_c_range", (0.001, 0.25))),

@@ -6,30 +6,46 @@ rejecting when ``Z_f > e``.  The familywise error rate is controlled either
 per-hypothesis (``correction='none'``) or via Bonferroni.  Individual power
 is the smallest per-hypothesis rejection probability at the clinically
 relevant differences ``delta``; combined power is the probability of
-rejecting at least one hypothesis, a multivariate normal orthant probability
-evaluated by randomized quasi-Monte Carlo.
+rejecting at least one hypothesis, one minus a multivariate normal orthant
+probability.  For ``q = 2`` that probability is exact to rounding: the
+Drezner & Wesolowsky (1990) bivariate normal as refined by Genz (2004).
+For ``q >= 3`` it is estimated by Genz's sequential conditioning on a
+randomized rank-1 lattice rule.  Only the standard library and numpy are
+used; the normal distribution function of arrays is Cody's (1969) rational
+``erfc`` and its inverse is Wichura's (1988) AS241.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import lru_cache
+from statistics import NormalDist
 
 import numpy as np
-from scipy.stats import norm, qmc
 
 __all__ = [
     "PowerSpec",
     "PowerReport",
     "critical_value",
     "per_hypothesis_power",
+    "variance_limits",
     "mvn_upper_orthant",
     "power_report",
 ]
 
-#: Number of randomized replicates and points per replicate for the
-#: quasi-Monte Carlo multivariate normal integral.
+#: Number of randomly shifted replicates and points per replicate of the
+#: lattice rule for ``q >= 3``.
 _MVN_REPLICATES = 8
-_MVN_LOG2_POINTS = 13
+_MVN_POINTS = 2**13
+
+#: Square roots of these primes, modulo one, generate the Richtmyer lattice;
+#: nine of them cover the ``q - 1 <= 9`` conditioning dimensions.
+_LATTICE_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23)
+
+_SQRT2 = math.sqrt(2.0)
+_TWO_PI = 2.0 * math.pi
+_STD_NORMAL = NormalDist()
 
 
 @dataclass(frozen=True)
@@ -106,6 +122,138 @@ class PowerReport:
         return float(self.per_hypothesis.min())
 
 
+# ---------------------------------------------------------------------------
+# The standard normal distribution
+# ---------------------------------------------------------------------------
+
+
+def _phi(x: float) -> float:
+    """Standard normal distribution function of a scalar."""
+    return 0.5 * math.erfc(-x / _SQRT2)
+
+
+def _upper_quantile(tail: float) -> float:
+    """``z`` with ``P(Z > z) = tail`` for a standard normal ``Z``."""
+    if not 0 < tail < 1:
+        raise ValueError(f"tail probability {tail} is outside (0, 1)")
+    return -_STD_NORMAL.inv_cdf(tail)
+
+
+def _horner(coeffs, x):
+    """Polynomial with ``coeffs`` (highest degree first) at array ``x``."""
+    out = np.full(np.shape(x), coeffs[0])
+    for c in coeffs[1:]:
+        out *= x
+        out += c
+    return out
+
+
+# Cody (1969) rational approximations to erf on |y| <= 0.46875 and to
+# exp(y^2) erfc(y) on 0.46875 < y <= 4 and y > 4, with the coefficients of
+# his CALERF routine.
+_ERF_A = (1.85777706184603153e-1, 3.16112374387056560e00,
+          1.13864154151050156e02, 3.77485237685302021e02,
+          3.20937758913846947e03)
+_ERF_B = (1.0, 2.36012909523441209e01, 2.44024637934444173e02,
+          1.28261652607737228e03, 2.84423683343917062e03)
+_ERFC_C = (2.15311535474403846e-8, 5.64188496988670089e-1,
+           8.88314979438837594e00, 6.61191906371416295e01,
+           2.98635138197400131e02, 8.81952221241769090e02,
+           1.71204761263407058e03, 2.05107837782607147e03,
+           1.23033935479799725e03)
+_ERFC_D = (1.0, 1.57449261107098347e01, 1.17693950891312499e02,
+           5.37181101862009858e02, 1.62138957456669019e03,
+           3.29079923573345963e03, 4.36261909014324716e03,
+           3.43936767414372164e03, 1.23033935480374942e03)
+_ERFC_P = (1.63153871373020978e-2, 3.05326634961232344e-1,
+           3.60344899949804439e-1, 1.25781726111229246e-1,
+           1.60837851487422766e-2, 6.58749161529837803e-4)
+_ERFC_Q = (1.0, 2.56852019228982242e00, 1.87295284992346725e00,
+           5.27905102951428412e-1, 6.05183413124413191e-2,
+           2.33520497626869185e-3)
+_RSQRT_PI = 5.6418958354775628695e-1
+
+
+def _ndtr(x):
+    """Standard normal distribution function of an array.
+
+    Cody's ``erfc`` with ``Phi(x) = erfc(-x / sqrt 2) / 2``.  The Gaussian
+    factor ``exp(-x^2 / 2)`` is split at a multiple of 1/16 so the lower
+    tail keeps full relative accuracy down to the underflow near ``-38``.
+    """
+    x = np.asarray(x, dtype=float)
+    ax = np.minimum(np.abs(x), 40.0)
+    y = ax / _SQRT2
+    ysq = y * y
+    with np.errstate(divide="ignore", invalid="ignore"):
+        erf = (x / _SQRT2) * _horner(_ERF_A, ysq) / _horner(_ERF_B, ysq)
+        inv = 1.0 / ysq
+        ratio = np.where(
+            y <= 4.0,
+            _horner(_ERFC_C, y) / _horner(_ERFC_D, y),
+            (_RSQRT_PI - inv * _horner(_ERFC_P, inv) / _horner(_ERFC_Q, inv))
+            / y,
+        )
+    xr = np.trunc(16.0 * ax) / 16.0
+    lower = (0.5 * np.exp(-0.5 * xr * xr)
+             * np.exp(-0.5 * (ax - xr) * (ax + xr)) * ratio)
+    return np.where(y <= 0.46875, 0.5 + 0.5 * erf,
+                    np.where(x < 0, lower, 1.0 - lower))
+
+
+# Wichura (1988) AS241 (PPND16) coefficients: the central region
+# |p - 1/2| <= 0.425, then the tails with r = sqrt(-log(min(p, 1 - p)))
+# below and above 5.
+_AS241_A = (2.5090809287301226727e3, 3.3430575583588128105e4,
+            6.7265770927008700853e4, 4.5921953931549871457e4,
+            1.3731693765509461125e4, 1.9715909503065514427e3,
+            1.3314166789178437745e2, 3.3871328727963666080e0)
+_AS241_B = (5.2264952788528545610e3, 2.8729085735721942674e4,
+            3.9307895800092710610e4, 2.1213794301586595867e4,
+            5.3941960214247511077e3, 6.8718700749205790830e2,
+            4.2313330701600911252e1, 1.0)
+_AS241_C = (7.74545014278341407640e-4, 2.27238449892691845833e-2,
+            2.41780725177450611770e-1, 1.27045825245236838258e0,
+            3.64784832476320460504e0, 5.76949722146069140550e0,
+            4.63033784615654529590e0, 1.42343711074968357734e0)
+_AS241_D = (1.05075007164441684324e-9, 5.47593808499534494600e-4,
+            1.51986665636164571966e-2, 1.48103976427480074590e-1,
+            6.89767334985100004550e-1, 1.67638483018380384940e0,
+            2.05319162663775882187e0, 1.0)
+_AS241_E = (2.01033439929228813265e-7, 2.71155556874348757815e-5,
+            1.24266094738807843860e-3, 2.65321895265761230930e-2,
+            2.96560571828504891230e-1, 1.78482653991729133580e0,
+            5.46378491116411436990e0, 6.65790464350110377720e0)
+_AS241_F = (2.04426310338993978564e-15, 1.42151175831644588870e-7,
+            1.84631831751005468180e-5, 7.86869131145613259100e-4,
+            1.48753612908506148525e-2, 1.36929880922735805310e-1,
+            5.99832206555887937690e-1, 1.0)
+
+
+def _ndtri(p):
+    """Standard normal quantile function of an array of probabilities."""
+    p = np.asarray(p, dtype=float)
+    q = p - 0.5
+    r = 0.180625 - q * q
+    central = q * _horner(_AS241_A, r) / _horner(_AS241_B, r)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = np.sqrt(-np.log(np.where(q < 0, p, 1.0 - p)))
+        near = t - 1.6
+        far = t - 5.0
+        tail = np.where(
+            t <= 5.0,
+            _horner(_AS241_C, near) / _horner(_AS241_D, near),
+            _horner(_AS241_E, far) / _horner(_AS241_F, far),
+        )
+    return np.where(np.abs(q) <= 0.425, central,
+                    np.where(q < 0, -tail, tail))
+
+
+# ---------------------------------------------------------------------------
+# Critical values and per-hypothesis power
+# ---------------------------------------------------------------------------
+
+
 def critical_value(alpha: float, q: int, correction: str = "none") -> float:
     """Upper-tail standard normal quantile controlling the error rate.
 
@@ -122,10 +270,7 @@ def critical_value(alpha: float, q: int, correction: str = "none") -> float:
         tail = alpha / q
     else:
         raise ValueError(f"unknown correction {correction!r}")
-    e = norm.isf(tail)
-    if not np.isfinite(e):
-        raise ValueError(f"tail probability {tail} underflows the quantile")
-    return float(e)
+    return _upper_quantile(tail)
 
 
 def per_hypothesis_power(delta_f: float, info_f: float, e: float) -> float:
@@ -136,14 +281,33 @@ def per_hypothesis_power(delta_f: float, info_f: float, e: float) -> float:
     """
     if info_f <= 0:
         raise ValueError(f"info_f must be positive, got {info_f}")
-    return float(norm.cdf(delta_f * np.sqrt(info_f) - e))
+    return _phi(delta_f * math.sqrt(info_f) - e)
 
 
-def _corr_cholesky(corr: np.ndarray) -> np.ndarray:
-    """Cholesky factor of a correlation matrix, tolerating semidefiniteness."""
-    corr = np.asarray(corr, dtype=float)
-    if corr.ndim != 2 or corr.shape[0] != corr.shape[1]:
-        raise ValueError("corr must be square")
+def variance_limits(delta, e: float, beta: float) -> np.ndarray:
+    """Largest ``Lambda_ff`` at which each hypothesis keeps power ``1 - beta``.
+
+    ``Phi(delta_f / sqrt(Lambda_ff) - e) >= 1 - beta`` holds exactly when
+    ``Lambda_ff <= (delta_f / (e + z_{1-beta}))^2``, and for every variance
+    when ``e + z_{1-beta} <= 0`` (the limits are then infinite).  A search
+    thereby filters on individual power without evaluating ``Phi``.
+    """
+    delta = np.asarray(delta, dtype=float)
+    s = e + _upper_quantile(beta)
+    if s <= 0:
+        return np.full(delta.shape, np.inf)
+    return (delta / s) ** 2
+
+
+# ---------------------------------------------------------------------------
+# Orthant probabilities
+# ---------------------------------------------------------------------------
+
+
+def _check_corr(corr: np.ndarray, q: int) -> np.ndarray:
+    """Validate a correlation matrix; returns its eigenvalues."""
+    if corr.shape != (q, q):
+        raise ValueError("corr must be square and match the limits")
     if not np.allclose(corr, corr.T, atol=1e-10):
         raise ValueError("corr must be symmetric")
     if not np.allclose(np.diag(corr), 1.0, atol=1e-8):
@@ -151,68 +315,128 @@ def _corr_cholesky(corr: np.ndarray) -> np.ndarray:
     vals = np.linalg.eigvalsh(corr)
     if vals[0] < -1e-10:
         raise ValueError("corr must be positive semidefinite")
-    try:
-        return np.linalg.cholesky(corr)
-    except np.linalg.LinAlgError:
-        jitter = max(1e-12, -vals[0] * 2 + 1e-12)
-        return np.linalg.cholesky(corr + jitter * np.eye(corr.shape[0]))
+    return vals
 
 
-def _mvn_upper_orthant_with_error(
-    limits, mean, corr, seed: int
-) -> tuple[float, float]:
-    """Quasi-Monte Carlo lower-orthant probability with an error estimate.
+@lru_cache(maxsize=1)
+def _gauss_legendre():
+    """20-point Gauss-Legendre nodes shifted to (0, 2), and their weights."""
+    t, w = np.polynomial.legendre.leggauss(20)
+    return 1.0 + t, w
 
-    Sequential-conditioning estimator on a scrambled Sobol point set.  The
-    spread over independently scrambled replicates gives the error estimate
-    (three standard errors).
+
+def _bvn_upper(h: float, k: float, r: float) -> float:
+    """``P(X > h, Y > k)`` for standard normals with correlation ``r``.
+
+    Genz's (2004) form of the Drezner & Wesolowsky (1990) method: for
+    ``|r| < 0.925`` Gauss-Legendre quadrature of Plackett's integral over
+    ``asin(r)``; above that, a series for the near-singular part plus
+    quadrature of the remainder.  Accurate to about 1e-15 absolute.
     """
-    limits = np.asarray(limits, dtype=float)
-    mean = np.asarray(mean, dtype=float)
-    q = limits.size
-    b = limits - mean
-    if q == 1:
-        return float(norm.cdf(b[0])), 0.0
-    L = _corr_cholesky(corr)
-    # Condition on variables in increasing order of marginal probability;
-    # a deterministic ordering keeps results reproducible.
+    x, w = _gauss_legendre()
+    hk = h * k
+    if abs(r) < 0.925:
+        hs = (h * h + k * k) / 2.0
+        asr = math.asin(r) / 2.0
+        sn = np.sin(asr * x)
+        bvn = float(np.exp((sn * hk - hs) / (1.0 - sn * sn)) @ w)
+        bvn = bvn * asr / _TWO_PI + _phi(-h) * _phi(-k)
+        return min(max(bvn, 0.0), 1.0)
+    if r < 0:
+        k, hk = -k, -hk
+    bvn = 0.0
+    if abs(r) < 1:
+        as_ = (1.0 - r) * (1.0 + r)
+        a = math.sqrt(as_)
+        bs = (h - k) ** 2
+        asr = -(bs / as_ + hk) / 2.0
+        c = (4.0 - hk) / 8.0
+        d = (12.0 - hk) / 80.0
+        if asr > -100:
+            bvn = a * math.exp(asr) * (
+                1.0 - c * (bs - as_) * (1.0 - d * bs) / 3.0 + c * d * as_ * as_
+            )
+        if hk > -100:
+            b = math.sqrt(bs)
+            sp = math.sqrt(_TWO_PI) * _phi(-b / a)
+            bvn -= math.exp(-hk / 2.0) * sp * b * (
+                1.0 - c * bs * (1.0 - d * bs) / 3.0
+            )
+        a /= 2.0
+        xs = (a * x) ** 2
+        asr = -(bs / xs + hk) / 2.0
+        keep = asr > -100
+        xs = xs[keep]
+        sp = 1.0 + c * xs * (1.0 + 5.0 * d * xs)
+        rs = np.sqrt(1.0 - xs)
+        ep = np.exp(-(hk / 2.0) * xs / (1.0 + rs) ** 2) / rs
+        bvn = (a * float((np.exp(asr[keep]) * (sp - ep)) @ w[keep]) - bvn) \
+            / _TWO_PI
+    if r > 0:
+        bvn += _phi(-max(h, k))
+    elif h >= k:
+        bvn = -bvn
+    else:
+        between = _phi(k) - _phi(h) if h < 0 else _phi(-h) - _phi(-k)
+        bvn = between - bvn
+    return min(max(bvn, 0.0), 1.0)
+
+
+def _lattice_orthant(b, corr, vals, seed: int) -> float:
+    """Lower-orthant probability ``P(Y <= b)`` for ``q >= 3`` by lattice QMC.
+
+    Sequential conditioning (Genz 1992) with the variables ordered by
+    increasing limit, integrated by a Richtmyer rank-1 lattice rule with the
+    tent periodization, averaged over randomly shifted replicates.
+    """
+    q = b.size
     order = np.argsort(b)
     b = b[order]
-    corr = np.asarray(corr, dtype=float)
-    L = _corr_cholesky(corr[np.ix_(order, order)])
-    rng = np.random.default_rng(seed)
-    estimates = np.empty(_MVN_REPLICATES)
-    n = 2**_MVN_LOG2_POINTS
+    corr = corr[np.ix_(order, order)]
+    try:
+        L = np.linalg.cholesky(corr)
+    except np.linalg.LinAlgError:
+        jitter = max(1e-12, -vals[0] * 2 + 1e-12)
+        L = np.linalg.cholesky(corr + jitter * np.eye(q))
+    d = q - 1
+    z = np.sqrt(np.array(_LATTICE_PRIMES[:d], dtype=float)) % 1.0
+    base = np.outer(np.arange(1, _MVN_POINTS + 1), z) % 1.0
+    shifts = np.random.default_rng(seed).random((_MVN_REPLICATES, 1, d))
+    w = np.abs(2.0 * ((base + shifts) % 1.0) - 1.0).reshape(-1, d)
+    n = w.shape[0]
     tiny = 1e-15
-    for r in range(_MVN_REPLICATES):
-        sob = qmc.Sobol(d=q - 1, scramble=True, seed=rng)
-        w = sob.random(n)
-        cond = np.full(n, norm.cdf(b[0] / L[0, 0]))
-        prob = cond.copy()
-        y = np.empty((n, q - 1))
-        for i in range(1, q):
-            y[:, i - 1] = norm.ppf(
-                np.clip(w[:, i - 1] * cond, tiny, 1 - tiny)
-            )
-            cond = norm.cdf((b[i] - y[:, :i] @ L[i, :i]) / L[i, i])
-            prob *= cond
-        estimates[r] = prob.mean()
-    value = float(estimates.mean())
-    err = float(3.0 * estimates.std(ddof=1) / np.sqrt(_MVN_REPLICATES))
-    return value, err
+    cond = np.full(n, _phi(b[0] / L[0, 0]))
+    prob = cond.copy()
+    y = np.empty((n, d))
+    for i in range(1, q):
+        y[:, i - 1] = _ndtri(np.clip(w[:, i - 1] * cond, tiny, 1 - tiny))
+        cond = _ndtr((b[i] - y[:, :i] @ L[i, :i]) / L[i, i])
+        prob *= cond
+    return float(prob.mean())
 
 
 def mvn_upper_orthant(limits, mean, corr, seed: int = 0) -> float:
     """``P(Y_f <= limits_f for all f)`` for ``Y ~ N(mean, corr)``.
 
-    Deterministic for a fixed ``seed``; randomized quasi-Monte Carlo with
-    absolute error well below 1e-5 for ``q <= 4``.  ``q`` up to 10 is
-    supported.
+    ``q = 1`` and ``q = 2`` are exact to rounding and ignore ``seed``.
+    ``q >= 3`` uses a randomized lattice rule, deterministic for a fixed
+    ``seed``, with absolute error well below 1e-5 for ``q <= 4``.  ``q`` up
+    to 10 is supported.
     """
     limits = np.asarray(limits, dtype=float)
-    if limits.size > 10:
+    q = limits.size
+    if q > 10:
         raise ValueError("dimension q must be <= 10")
-    value, _ = _mvn_upper_orthant_with_error(limits, mean, corr, seed)
+    b = limits - np.asarray(mean, dtype=float)
+    corr = np.asarray(corr, dtype=float)
+    vals = _check_corr(corr, q)
+    if q == 1:
+        value = _phi(b[0])
+    elif q == 2:
+        r = min(max(float(corr[0, 1]), -1.0), 1.0)
+        value = _bvn_upper(-b[0], -b[1], r)
+    else:
+        value = _lattice_orthant(b, corr, vals, seed)
     return min(max(value, 0.0), 1.0)
 
 
@@ -227,7 +451,7 @@ def power_report(summary, spec: PowerSpec, seed: int = 0) -> PowerReport:
         Error rates and effect sizes; ``len(spec.delta)`` must equal
         ``summary.q``.
     seed : int
-        Seed for the combined-power integral.
+        Seed for the combined-power integral (used only when ``q >= 3``).
     """
     if spec.q != summary.q:
         raise ValueError(
@@ -235,7 +459,7 @@ def power_report(summary, spec: PowerSpec, seed: int = 0) -> PowerReport:
         )
     e = critical_value(spec.alpha, summary.q, spec.correction)
     info = np.asarray(summary.info, dtype=float)
-    per = norm.cdf(spec.delta * np.sqrt(info) - e)
+    per = np.array([_phi(t) for t in spec.delta * np.sqrt(info) - e])
     if summary.q == 1:
         combined = float(per[0])
     else:

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import itertools
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -37,6 +36,7 @@ from .inference import (
     critical_value,
     mvn_upper_orthant,
     power_report,
+    variance_limits,
 )
 from .model import (
     RANK_RTOL,
@@ -375,16 +375,13 @@ def _scan_chunk(job: dict) -> dict:
     cost = float(job["cost"])
     out["extrema"] = (cost, cost, float(crit.min()), float(crit.max()))
 
-    delta = np.asarray(job["delta"], dtype=float)
-    beta = job["beta"]
-    if beta >= 1.0:
+    if job["var_limits"] is None:
         feasible = np.ones(crit.shape[0], dtype=bool)
     else:
-        from scipy.stats import norm
-
-        per = norm.cdf(delta[None, :] / np.sqrt(diag) - job["e"])
-        feasible = per.min(axis=1) >= 1.0 - beta
+        feasible = (diag <= np.asarray(job["var_limits"])).all(axis=1)
         if job["power_type"] == "combined":
+            delta = np.asarray(job["delta"], dtype=float)
+            beta = job["beta"]
             for i in np.nonzero(~feasible)[0]:
                 sd = np.sqrt(diag[i])
                 corr = Lambda[i] / np.outer(sd, sd)
@@ -505,6 +502,11 @@ def exhaustive_search(
             f"delta has length {spec.q} but the space has q={q}"
         )
     e = critical_value(spec.alpha, q, spec.correction) if spec.beta < 1 else 0.0
+    var_limits = (
+        tuple(variance_limits(spec.delta, e, spec.beta))
+        if spec.beta < 1
+        else None
+    )
     tie_mode = "lex" if objective.w == 1 else "crit"
 
     jobs = []
@@ -527,6 +529,7 @@ def exhaustive_search(
                     "delta": tuple(spec.delta),
                     "beta": spec.beta,
                     "e": e,
+                    "var_limits": var_limits,
                     "power_type": spec.power_type,
                     "seed": seed,
                     "tie_mode": tie_mode,
@@ -562,6 +565,10 @@ def exhaustive_search(
         for job in jobs:
             absorb(_scan_chunk(job))
     else:
+        # Imported here: multiprocessing adds tens of milliseconds to every
+        # cold start that never uses it.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             for res in pool.map(_scan_chunk, jobs, chunksize=1):
                 absorb(res)
@@ -634,6 +641,23 @@ def exhaustive_search(
 # ---------------------------------------------------------------------------
 
 
+def _draw_rows(probs: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Inverse-cdf draws of one sequence index per cluster.
+
+    ``probs`` is the ``C x n`` matrix of per-cluster categorical
+    probabilities and ``u`` a ``k x C`` matrix of uniforms in [0, 1).  Each
+    draw is the number of cumulative probabilities below its uniform.  The
+    last cumulative entry is pinned to one, so a row whose sum rounds below
+    one still maps every uniform to a valid index.
+    """
+    cdf = probs.cumsum(axis=1)
+    cdf[:, -1] = 1.0
+    idx = np.empty(u.shape, dtype=np.intp)
+    for c in range(cdf.shape[0]):
+        idx[:, c] = np.searchsorted(cdf[c], u[:, c], side="left")
+    return idx
+
+
 def cross_entropy_search(
     C: int,
     T: int,
@@ -663,10 +687,16 @@ def cross_entropy_search(
         )
     n = len(seqs)
     q = D - 1
+    if spec.beta < 1 and spec.q != q:
+        raise ValueError(
+            f"delta has length {spec.q} but the space has q={q}"
+        )
     contribs = sequence_contributions(seqs, m, T, D, vc)
     p = contribs.shape[1]
     flat = contribs.reshape(n, -1)
-    e = critical_value(spec.alpha, q, spec.correction) if spec.beta < 1 else 0.0
+    if spec.beta < 1:
+        e = critical_value(spec.alpha, q, spec.correction)
+        var_limits = variance_limits(spec.delta, e, spec.beta)
     rng = np.random.default_rng(params.seed)
     probs = np.full((C, n), 1.0 / n)
     n_elite = max(1, int(round(params.elite_fraction * params.population_size)))
@@ -676,12 +706,10 @@ def cross_entropy_search(
     best_unconstrained = None
     stall = 0
     n_evaluated = 0
-    from scipy.stats import norm
 
     for _ in range(params.max_iterations):
         u = rng.random((params.population_size, C))
-        cdf = probs.cumsum(axis=1)
-        idx = (u[:, :, None] > cdf[None, :, :]).sum(axis=2)
+        idx = _draw_rows(probs, u)
         n_evaluated += params.population_size
         counts = np.zeros((params.population_size, n))
         np.add.at(
@@ -706,10 +734,8 @@ def cross_entropy_search(
             if spec.beta >= 1.0:
                 feasible = ident.copy()
             else:
-                per = norm.cdf(spec.delta[None, :] / np.sqrt(diag) - e)
-                ok = per.min(axis=1) >= 1.0 - spec.beta
                 feasible = np.zeros_like(ident)
-                feasible[ident] = ok
+                feasible[ident] = (diag <= var_limits).all(axis=1)
             score[feasible] = raw[feasible]
             un_j = int(np.argmin(raw))
             if np.isfinite(raw[un_j]):

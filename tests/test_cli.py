@@ -1,11 +1,16 @@
 """Command-line interface tests."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import swdesign
 from swdesign.cli import main, read_design_csv, write_design_csv
 
 from conftest import REFERENCE_X, X
@@ -94,6 +99,103 @@ class TestConfig:
         )
         assert result.exit_code != 0
         assert "invalid JSON" in result.output
+
+
+class TestConfigErrors:
+    """Bad configs end in one ``Error:`` line naming the field."""
+
+    def run_search(self, runner, tmp_path, edit):
+        cfg = {
+            "schema_version": 1,
+            "model": {"rho": 0.05},
+            "space": {
+                "D": 3, "T": 3, "C": 3, "m": 2,
+                "restrictions": ["monotone", "identifiable"],
+            },
+            "objective": {"w": 0.0, "criterion": "E"},
+            "power": {"alpha": 0.05, "beta": 0.2, "delta": [1.5, 0.75]},
+        }
+        edit(cfg)
+        path = write_json(tmp_path / "cfg.json", cfg)
+        result = runner.invoke(
+            main, ["search", "--config", path, "--out", str(tmp_path / "r")]
+        )
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        lines = result.output.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("Error: ")
+        return lines[0]
+
+    def test_missing_space_C(self, runner, tmp_path):
+        line = self.run_search(
+            runner, tmp_path, lambda cfg: cfg["space"].pop("C")
+        )
+        assert "space.C is required" in line
+
+    def test_rho_one_leaves_no_residual_variance(self, runner, tmp_path):
+        line = self.run_search(
+            runner, tmp_path, lambda cfg: cfg["model"].update(rho=1)
+        )
+        assert "model.rho" in line and "residual variance" in line
+
+    def test_unknown_restriction(self, runner, tmp_path):
+        line = self.run_search(
+            runner, tmp_path,
+            lambda cfg: cfg["space"]["restrictions"].append("monotonic"),
+        )
+        assert "space.restrictions[2]" in line and "'monotonic'" in line
+
+    def test_delta_length_differs_from_q(self, runner, tmp_path):
+        line = self.run_search(
+            runner, tmp_path, lambda cfg: cfg["power"].update(delta=[1.5])
+        )
+        assert "power.delta has 1 entries" in line and "needs 2" in line
+
+    def test_evaluate_delta_length_differs_from_q(self, runner, tmp_path,
+                                                   reference_csv):
+        power = {"alpha": 0.05, "beta": 0.2, "delta": [1.5]}
+        cfg = reference_config(tmp_path, power=power)
+        result = runner.invoke(
+            main, ["evaluate", "--config", cfg, "--design", reference_csv,
+                   "--out", str(tmp_path / "r")],
+        )
+        assert result.exit_code == 1
+        assert "Error: power.delta has 1 entries" in result.output
+
+
+def test_cold_start_imports_neither_scipy_nor_multiprocessing(
+    tmp_path, reference_csv
+):
+    power = {"alpha": 0.05, "beta": 0.2, "delta": [1.5, 0.75],
+             "power_type": "combined"}
+    cfg = reference_config(tmp_path, power=power)
+    script = (
+        "import json, sys\n"
+        "def heavy():\n"
+        "    return sorted(m for m in sys.modules if m.split('.')[0]\n"
+        "                  in ('scipy', 'multiprocessing'))\n"
+        "from swdesign.cli import main\n"
+        "after_import = heavy()\n"
+        "try:\n"
+        "    main(sys.argv[1:])\n"
+        "except SystemExit as exc:\n"
+        "    if exc.code:\n"
+        "        raise\n"
+        "print(json.dumps([after_import, heavy()]))\n"
+    )
+    src = str(Path(swdesign.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script, "evaluate", "--config", cfg,
+         "--design", reference_csv, "--out", str(tmp_path / "run")],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.strip().splitlines()[-1]) == [[], []]
+    assert "P(reject any H0)" in proc.stdout
 
 
 class TestEvaluate:

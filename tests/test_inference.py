@@ -14,6 +14,7 @@ from swdesign import (
     power_report,
     treatment_covariance,
 )
+from swdesign.inference import _ndtr, _ndtri, variance_limits
 from swdesign.model import CovarianceSummary
 
 
@@ -67,6 +68,39 @@ class TestPowerSpec:
 
 
 # ---------------------------------------------------------------------------
+# Normal distribution and quantile functions
+# ---------------------------------------------------------------------------
+
+
+class TestNormalFunctions:
+    def test_cdf_matches_scipy(self):
+        # In the far lower tail scipy's own error (about 2e-13 relative near
+        # x = -37) exceeds ours, so the relative bound is the looser one.
+        x = np.linspace(-38.0, 8.0, 200_001)
+        np.testing.assert_allclose(_ndtr(x), norm.cdf(x), rtol=1e-13,
+                                   atol=1e-15)
+
+    def test_cdf_limits(self):
+        got = _ndtr(np.array([-np.inf, -40.0, 0.0, 40.0, np.inf]))
+        np.testing.assert_array_equal(got, [0.0, 0.0, 0.5, 1.0, 1.0])
+
+    def test_quantile_matches_scipy(self):
+        p = np.concatenate([
+            np.logspace(-300, -1, 20_000),
+            np.linspace(0.01, 0.99, 20_001),
+            1.0 - np.logspace(-16, -1, 5_000),
+        ])
+        np.testing.assert_allclose(_ndtri(p), norm.ppf(p), rtol=1e-13,
+                                   atol=0)
+
+    def test_quantile_inverts_cdf_in_lower_tail(self):
+        # Above zero Phi rounds toward one and the round trip loses digits.
+        x = np.linspace(-37.0, 0.0, 3701)
+        np.testing.assert_allclose(_ndtri(_ndtr(x)), x, rtol=1e-13,
+                                   atol=1e-15)
+
+
+# ---------------------------------------------------------------------------
 # Per-hypothesis power
 # ---------------------------------------------------------------------------
 
@@ -91,6 +125,26 @@ class TestPerHypothesisPower:
     def test_nonpositive_information_rejected(self):
         with pytest.raises(ValueError):
             per_hypothesis_power(0.5, 0.0, 1.96)
+
+
+class TestVarianceLimits:
+    @pytest.mark.parametrize("alpha", [0.01, 0.05, 0.4])
+    @pytest.mark.parametrize("correction", ["none", "bonferroni"])
+    @pytest.mark.parametrize(
+        "beta", [0.01, 0.1, 0.2, 0.5, 0.6, 0.8, 0.9, 0.99]
+    )
+    def test_threshold_equals_cdf_filter(self, alpha, correction, beta):
+        delta = np.array([0.05, 0.3, 0.75, 1.5, 4.0])
+        e = critical_value(alpha, delta.size, correction)
+        Lambda = np.logspace(-5, 3, 4001)[:, None]
+        want = norm.cdf(delta / np.sqrt(Lambda) - e) >= 1 - beta
+        got = Lambda <= variance_limits(delta, e, beta)
+        np.testing.assert_array_equal(got, want)
+
+    def test_every_variance_feasible_when_target_below_alpha(self):
+        # e + z_{1-beta} <= 0: any positive effect already has the power.
+        e = critical_value(0.4, 1, "none")
+        assert np.all(np.isinf(variance_limits([0.1, 2.0], e, 0.9)))
 
 
 # ---------------------------------------------------------------------------
@@ -127,6 +181,35 @@ class TestOrthant:
             )
             got = mvn_upper_orthant(b, np.zeros(q), corr, seed=3)
             assert got == pytest.approx(want, abs=5e-5)
+
+    def test_bivariate_matches_library_cdf(self):
+        rng = np.random.default_rng(17)
+        for _ in range(300):
+            h, k = rng.uniform(-4.0, 4.0, size=2)
+            r = rng.uniform(-0.99, 0.99)
+            corr = np.array([[1.0, r], [r, 1.0]])
+            want = multivariate_normal.cdf([h, k], mean=[0.0, 0.0], cov=corr)
+            got = mvn_upper_orthant([h, k], [0.0, 0.0], corr)
+            assert abs(got - want) <= 1e-12, (h, k, r)
+
+    @pytest.mark.parametrize("h, k", [(0.3, -0.4), (-1.2, 0.8), (1.5, 1.5)])
+    def test_bivariate_singular_correlations(self, h, k):
+        ones = np.ones((2, 2))
+        anti = np.array([[1.0, -1.0], [-1.0, 1.0]])
+        assert mvn_upper_orthant([h, k], [0, 0], ones) == pytest.approx(
+            norm.cdf(min(h, k)), abs=1e-15
+        )
+        assert mvn_upper_orthant([h, k], [0, 0], anti) == pytest.approx(
+            max(0.0, norm.cdf(h) - norm.cdf(-k)), abs=1e-15
+        )
+
+    def test_bivariate_ignores_seed(self):
+        corr = np.array([[1.0, -0.6], [-0.6, 1.0]])
+        values = {
+            mvn_upper_orthant([0.2, 1.1], [0.1, -0.3], corr, seed=s)
+            for s in range(5)
+        }
+        assert len(values) == 1
 
     def test_deterministic_given_seed(self):
         corr = np.array([[1.0, 0.4], [0.4, 1.0]])

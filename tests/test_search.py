@@ -31,6 +31,9 @@ from swdesign import (
     variance_ratio_map,
 )
 
+from swdesign import search
+from swdesign.search import _draw_rows
+
 from conftest import X, row_multiset
 
 
@@ -211,6 +214,43 @@ class TestExhaustiveSearch:
         assert calls[-1][0] > 0
         assert np.isfinite(calls[-1][1])
 
+    @pytest.mark.parametrize("crit_name", ["D", "A"])
+    @pytest.mark.parametrize("w", [0.0, 0.5])
+    @pytest.mark.parametrize("power_type", ["individual", "combined"])
+    def test_chunk_size_invariance(self, monkeypatch, crit_name, w,
+                                   power_type):
+        space = DesignSpace.grid(
+            [3], [2, 3, 4], [2, 3], 3,
+            (MonotoneNondecreasing(), Identifiable()),
+        )
+        criterion = criterion_from_name(crit_name)
+        # Two distinct allocation matrices share the optimal criterion
+        # value, so the tie-break decides the winner.
+        values = sorted(
+            criterion_value(treatment_covariance(d, VC), criterion)
+            for d in enumerate_designs(space, VC)
+        )
+        assert values[1] <= values[0] * (1 + 1e-9)
+        spec = PowerSpec(
+            alpha=0.05, beta=0.5, delta=[2.0, 1.5], power_type=power_type
+        )
+        obj = Objective(w=w, criterion=criterion)
+
+        def outcome(chunk):
+            monkeypatch.setattr(search, "_CHUNK", chunk)
+            res = exhaustive_search(space, VC, spec, obj)
+            return (
+                (res.best.m, res.best.C, res.best.T, res.best.sequences()),
+                res.criterion_value,
+                res.n_feasible,
+                res.scaling,
+            )
+
+        want = outcome(200_000)
+        assert 0 < want[2] < 1980
+        for chunk in (1, 7, 64):
+            assert outcome(chunk) == want
+
     def test_power_feasibility_filters(self):
         space = small_space(C=4, T=4, m=4, D=2)
         spec = PowerSpec(
@@ -277,6 +317,15 @@ class TestCrossEntropy:
                 CEParams(population_size=50, max_iterations=3),
             )
 
+    def test_delta_length_checked(self):
+        restrictions = (MonotoneNondecreasing(), Identifiable())
+        spec = PowerSpec(alpha=0.05, beta=0.2, delta=[1.0])
+        with pytest.raises(ValueError, match="length"):
+            cross_entropy_search(
+                3, 3, 2, 3, restrictions, VC,
+                Objective(w=0.0, criterion=Eoptimal()), spec,
+            )
+
     def test_empty_pool_rejected(self):
         nothing = CustomPredicate(label="none", allowed=())
         with pytest.raises(SearchFailure, match="no sequences"):
@@ -284,6 +333,23 @@ class TestCrossEntropy:
                 3, 3, 2, 2, (nothing,), VC,
                 Objective(w=0.0, criterion=Eoptimal()), NO_POWER,
             )
+
+    def test_draw_rows_with_probabilities_summing_below_one(self):
+        # Each row sums to 1 - 2**-52 in floating point; a uniform above
+        # that sum used to index one past the sequence pool.
+        probs = np.array([[0.5, 0.5 - 2.0**-52], [0.25, 0.75 - 2.0**-52]])
+        assert (probs.cumsum(axis=1)[:, -1] == 1.0 - 2.0**-52).all()
+        u = np.array([[1.0 - 2.0**-53, 0.1], [0.6, 1.0 - 2.0**-53]])
+        np.testing.assert_array_equal(_draw_rows(probs, u), [[1, 0], [1, 1]])
+
+    def test_draw_rows_matches_cumulative_count(self):
+        rng = np.random.default_rng(0)
+        probs = rng.dirichlet(np.ones(7), size=4)
+        u = rng.random((500, 4))
+        cdf = probs.cumsum(axis=1)
+        want = (u[:, :, None] > cdf[None, :, :]).sum(axis=2)
+        assert want.max() < 7
+        np.testing.assert_array_equal(_draw_rows(probs, u), want)
 
     def test_params_validated(self):
         with pytest.raises(ValueError):
