@@ -169,42 +169,54 @@ def _build_restrictions(names) -> tuple:
     return tuple(out)
 
 
+def _ints(value, name: str) -> tuple:
+    """A JSON integer or list of integers, or a one-line error naming it."""
+    items = value if isinstance(value, list) else [value]
+    for i, v in enumerate(items):
+        if isinstance(v, bool) or not isinstance(v, int):
+            field = f"{name}[{i}]" if isinstance(value, list) else name
+            raise click.ClickException(
+                f"{field} must be an integer, got {v!r}"
+            )
+    return tuple(items)
+
+
 def _build_space(cfg: dict) -> DesignSpace:
     block = _required(cfg, "space")
-    D = _required(block, "D", "space")
+    (D,) = _ints(_required(block, "D", "space"), "space.D")
     restrictions = _build_restrictions(block.get("restrictions"))
-    T_block = _required(block, "T", "space")
-    T_values = T_block if isinstance(T_block, list) else [T_block]
+    T_values = _ints(_required(block, "T", "space"), "space.T")
     C_block = _required(block, "C", "space")
     if isinstance(C_block, dict):
-        C_sets = {int(t): tuple(cs) for t, cs in C_block.items()}
+        C_sets = {
+            _ints(int(t) if t.isdigit() else t, "space.C key")[0]:
+                _ints(cs, f"space.C.{t}")
+            for t, cs in C_block.items()
+        }
     else:
-        Cs = tuple(C_block) if isinstance(C_block, list) else (C_block,)
-        C_sets = {T: Cs for T in T_values}
+        C_sets = dict.fromkeys(T_values, _ints(C_block, "space.C"))
     m_block = _required(block, "m", "space")
-    M_sets = {}
-    for T in T_values:
-        for C in _required(C_sets, T, "space.C"):
-            if isinstance(m_block, dict):
-                lo = m_block.get("min", 2)
-                hi = _required(m_block, "budget", "space.m") // T
-                if hi < lo:
-                    raise click.ClickException(
-                        f"budget {m_block['budget']} admits no m >= {lo} "
-                        f"at T={T}"
-                    )
-                M_sets[(C, T)] = tuple(range(lo, hi + 1))
-            elif isinstance(m_block, list):
-                M_sets[(C, T)] = tuple(m_block)
-            else:
-                M_sets[(C, T)] = (int(m_block),)
-    return DesignSpace(
-        T_set=tuple(T_values),
-        C_sets=C_sets,
-        M_sets=M_sets,
-        restrictions=restrictions,
-        D=D,
-    )
+    if isinstance(m_block, dict):
+        (lo,) = _ints(m_block.get("min", 2), "space.m.min")
+        budget = _required(m_block, "budget", "space.m")
+        (budget,) = _ints(budget, "space.m.budget")
+        for T in T_values:
+            if budget // T < lo:
+                raise click.ClickException(
+                    f"budget {budget} admits no m >= {lo} at T={T}"
+                )
+        m_of_T = {T: tuple(range(lo, budget // T + 1)) for T in T_values}
+    else:
+        m_of_T = dict.fromkeys(T_values, _ints(m_block, "space.m"))
+    M_sets = {
+        (C, T): m_of_T[T]
+        for T in T_values
+        for C in _required(C_sets, T, "space.C")
+    }
+    try:
+        return DesignSpace(T_values, C_sets, M_sets, restrictions, D)
+    except ValueError as exc:
+        raise click.ClickException(f"space: {exc}") from None
 
 
 def _build_power(block: dict | None, q: int) -> PowerSpec:

@@ -14,17 +14,17 @@ The quantities of design interest are the generalized-least-squares covariance
 ``q x q`` block for the ``q = D - 1`` treatment effects.
 
 Because the covariates are constant within a cluster-period cell, the
-cluster-period means are sufficient for the fixed effects: each cluster's
-information contribution reduces to ``B^T S^-1 B`` where ``B`` is the T x p
-cell-level design block of the cluster's treatment sequence and ``S`` is the
-T x T compound-symmetric covariance of the cluster-period means.  This module
-exploits that reduction so a search over millions of allocation matrices never
-touches an (mT) x (mT) matrix.
+cluster-period means, with covariance ``S = a I + b J``, are sufficient for
+the fixed effects.  Every cluster shares the nuisance block
+``[mu, pi_2..pi_T]``, so :func:`covariance_kernel` eliminates it in closed
+form and a search over millions of allocation matrices inverts only
+``q x q`` matrices.  The ``p x p`` information matrix and the explicit
+observation-level matrices remain as references.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -42,6 +42,7 @@ __all__ = [
     "sequence_block",
     "mean_precision",
     "sequence_contributions",
+    "covariance_kernel",
     "information_matrix",
     "parameter_labels",
 ]
@@ -317,70 +318,100 @@ def cluster_covariance(m: int, T: int, vc: VarianceComponents) -> np.ndarray:
     )
 
 
-def mean_precision(m: int, T: int, vc: VarianceComponents) -> np.ndarray:
-    """Precision matrix of a cluster's period means, scaled for raw data.
-
-    The cluster-period means have the compound-symmetric covariance
-    ``S = a I + b J`` with ``a = s_th + s_e / m`` and ``b = s_c + s_s / m``.
-    Because covariates are period-constant, a cluster's information
-    contribution is ``B^T S^-1 B``; this function returns ``S^-1`` via the
-    Sherman-Morrison closed form.
-    """
+def _mean_variances(m: int, vc: VarianceComponents) -> tuple[float, float]:
+    """``(a, b)`` of the period-mean covariance ``S = a I + b J``."""
     s_c, s_th, s_s, s_e = vc.as_tuple()
     if s_e <= 0:
         raise DegenerateVarianceError(
             "sigma2_eps must be positive: the marginal covariance is singular "
             "when the residual variance vanishes (e.g. rho = 1 exactly)"
         )
-    a = s_th + s_e / m
-    b = s_c + s_s / m
+    return s_th + s_e / m, s_c + s_s / m
+
+
+def mean_precision(m: int, T: int, vc: VarianceComponents) -> np.ndarray:
+    """Precision ``S^-1`` of a cluster's period means, in closed form.
+
+    ``S = a I + b J`` with ``a = s_th + s_e / m`` and ``b = s_c + s_s / m``;
+    a cluster's information contribution is ``B^T S^-1 B``.
+    """
+    a, b = _mean_variances(m, vc)
     return (np.eye(T) - (b / (a + T * b)) * np.ones((T, T))) / a
 
 
 @lru_cache(maxsize=256)
 def _cached_contributions(
-    seqs: tuple[tuple[int, ...], ...],
-    m: int,
-    T: int,
-    D: int,
-    vc_tuple: tuple[float, float, float, float],
-) -> np.ndarray:
-    vc = VarianceComponents(*vc_tuple)
-    W = mean_precision(m, T, vc)
-    p = D + T - 1
-    out = np.empty((len(seqs), p, p))
-    for i, seq in enumerate(seqs):
-        B = sequence_block(seq, T, D)
-        out[i] = B.T @ W @ B
-    out.setflags(write=False)
+    seqs: tuple[tuple[int, ...], ...], T: int, D: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    rows = np.array(seqs, dtype=int).reshape(len(seqs), T)
+    Z = (rows[:, :, None] >= np.arange(1, D)).astype(float)
+    out = (Z, Z.transpose(0, 2, 1) @ Z, Z.sum(axis=1))
+    for arr in out:
+        arr.setflags(write=False)
     return out
 
 
 def sequence_contributions(
-    seqs, m: int, T: int, D: int, vc: VarianceComponents
-) -> np.ndarray:
-    """Per-sequence information contributions ``B^T S^-1 B``.
+    seqs, T: int, D: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only per-sequence statistics ``(Z_s, Z_s'Z_s, Z_s'1)``.
 
-    Results are memoized on ``(seqs, m, T, D, vc)`` because a design search
-    evaluates huge numbers of allocation matrices built from the same
-    sequence pool.
-
-    Returns
-    -------
-    numpy.ndarray
-        Read-only ``len(seqs) x p x p`` stack; the information matrix of a
-        design is the count-weighted sum of these blocks over its rows.
+    ``Z_s`` is the ``T x q`` block of nested arm indicators ``1{s_j >= d}``.
+    The stacks (``n x T x q``, ``n x q x q``, ``n x q``) depend on neither
+    ``m`` nor the variances and are memoized on ``(seqs, T, D)``: a search
+    builds huge numbers of candidates from the same sequence pool.
     """
     key = tuple(tuple(int(v) for v in s) for s in seqs)
-    return _cached_contributions(key, m, T, D, vc.as_tuple())
+    return _cached_contributions(key, T, D)
+
+
+def covariance_kernel(
+    counts: np.ndarray, contributions, m: int, vc: VarianceComponents
+) -> tuple[np.ndarray, np.ndarray]:
+    """Batched ``Lambda_q`` of candidates given as sequence counts.
+
+    Row ``k`` of ``counts`` holds the multiplicities ``c_s`` of the
+    sequences of ``contributions`` (:func:`sequence_contributions`) in
+    candidate ``k``.  With ``Zbar = sum_s c_s Z_s`` and ``C = sum_s c_s``,
+    eliminating ``[mu, pi_2..pi_T]`` gives ``Lambda_q = a (P - gamma Q)^-1``
+    with ``gamma = b / (a + T b)`` (the multi-arm form of Hussey & Hughes,
+    2007), where
+
+        P = sum_s c_s Z_s'Z_s - Zbar'Zbar / C
+        Q = sum_s c_s (Z_s'1)(1'Z_s) - (Zbar'1)(1'Zbar) / C.
+
+    A candidate is identifiable when the smallest eigenvalue of
+    ``P - gamma Q`` exceeds ``RANK_RTOL`` times the entry sum of ``Zbar``,
+    which is ``tr(sum_s c_s Z_s'Z_s)`` for 0/1 ``Z_s``: a scale that,
+    unlike the largest eigenvalue, is meaningful at ``q = 1``.
+    Returns the identifiability mask over the rows of ``counts`` and the
+    ``Lambda_q`` stack of the identifiable rows only.
+    """
+    Z, ZtZ, Zt1 = contributions
+    n, T, q = Z.shape
+    a, b = _mean_variances(m, vc)
+    gamma = b / (a + T * b)
+    per_seq = ZtZ - gamma * Zt1[:, :, None] * Zt1[:, None, :]
+    sums = counts @ np.concatenate(
+        [per_seq.reshape(n, -1), Z.reshape(n, -1)], axis=1
+    )
+    Zbar = sums[:, q * q:].reshape(-1, T, q)
+    Zbar1 = Zbar.sum(axis=1)
+    K = sums[:, : q * q].reshape(-1, q, q) - (
+        Zbar.transpose(0, 2, 1) @ Zbar
+        - gamma * Zbar1[:, :, None] * Zbar1[:, None, :]
+    ) / counts.sum(axis=1)[:, None, None]
+    ident = np.linalg.eigvalsh(K)[:, 0] > RANK_RTOL * Zbar.sum(axis=(1, 2))
+    return ident, a * np.linalg.inv(K[ident])
 
 
 def information_matrix(design: Design, vc: VarianceComponents) -> np.ndarray:
-    """Fixed-effect information matrix ``sum_i A_i^T V^-1 A_i``."""
-    contribs = sequence_contributions(
-        design.sequences(), design.m, design.T, design.D, vc
+    """Full ``p x p`` fixed-effect information ``sum_i B_i^T S^-1 B_i``."""
+    W = mean_precision(design.m, design.T, vc)
+    B = np.stack(
+        [sequence_block(seq, design.T, design.D) for seq in design.sequences()]
     )
-    return contribs.sum(axis=0)
+    return np.einsum("ctp,tu,cuq->pq", B, W, B)
 
 
 def build_model_matrices(
@@ -416,32 +447,23 @@ def _rank_deficient_labels(M: np.ndarray, T: int, D: int) -> list[str]:
     return bad
 
 
+def _design_kernel(design: Design, vc: VarianceComponents):
+    """:func:`covariance_kernel` of one design over its distinct rows."""
+    seqs, counts = np.unique(design.X, axis=0, return_counts=True)
+    ident, Lambda = covariance_kernel(
+        counts[None, :].astype(float),
+        sequence_contributions(seqs, design.T, design.D), design.m, vc,
+    )
+    return ident[0], Lambda
+
+
 def is_identifiable(design: Design, vc: VarianceComponents) -> bool:
     """Whether the design identifies every fixed effect.
 
-    True iff the information matrix has full rank ``p``, judged by the
-    smallest eigenvalue exceeding ``RANK_RTOL`` times the largest.
+    The nuisance effects are always estimable, so this is whether the
+    ``P - gamma Q`` of :func:`covariance_kernel` is nonsingular.
     """
-    M = information_matrix(design, vc)
-    vals = np.linalg.eigvalsh(M)
-    return bool(vals[0] > vals[-1] * RANK_RTOL)
-
-
-def _spd_inverse(M: np.ndarray) -> np.ndarray:
-    """Invert a symmetric positive-definite matrix.
-
-    Cholesky-based, falling back to an eigendecomposition when the
-    factorization fails close to the rank tolerance.
-    """
-    try:
-        L = np.linalg.cholesky(M)
-        inv_L = np.linalg.inv(L)
-        return inv_L.T @ inv_L
-    except np.linalg.LinAlgError:
-        vals, vecs = np.linalg.eigh(M)
-        if vals[0] <= vals[-1] * RANK_RTOL:
-            raise
-        return (vecs / vals) @ vecs.T
+    return bool(_design_kernel(design, vc)[0])
 
 
 def treatment_covariance(
@@ -449,10 +471,9 @@ def treatment_covariance(
 ) -> CovarianceSummary:
     """Covariance ``Lambda_q`` of the treatment-effect estimators.
 
-    Computes the generalized-least-squares information matrix, inverts it,
-    and returns the leading ``q x q`` block (``q = D - 1``) together with the
-    per-effect information levels ``1 / Lambda_q[f, f]``.  The result is
-    invariant to the ordering of the clusters.
+    The generalized-least-squares covariance of the ``q = D - 1`` treatment
+    effects (:func:`covariance_kernel`) with the per-effect information
+    levels ``1 / Lambda_q[f, f]``; invariant to the order of the clusters.
 
     Raises
     ------
@@ -462,18 +483,15 @@ def treatment_covariance(
     DegenerateVarianceError
         If the residual variance is zero (singular marginal covariance).
     """
-    M = information_matrix(design, vc)
-    vals = np.linalg.eigvalsh(M)
-    if vals[0] <= vals[-1] * RANK_RTOL:
+    ident, Lambda = _design_kernel(design, vc)
+    if not ident:
+        M = information_matrix(design, vc)
         bad = _rank_deficient_labels(M, design.T, design.D)
         raise NonIdentifiableError(
             "design cannot identify the fixed effects; rank-deficient "
             f"columns: {', '.join(bad) if bad else 'unknown'}"
         )
-    Lambda = _spd_inverse(M)
-    q = design.q
-    Lambda_q = Lambda[:q, :q]
-    Lambda_q = 0.5 * (Lambda_q + Lambda_q.T)
+    Lambda_q = 0.5 * (Lambda[0] + Lambda[0].T)
     return CovarianceSummary(
-        Lambda_q=Lambda_q, info=1.0 / np.diag(Lambda_q), q=q
+        Lambda_q=Lambda_q, info=1.0 / np.diag(Lambda_q), q=design.q
     )

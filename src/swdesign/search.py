@@ -16,9 +16,11 @@ design exists and suggests the unconstrained criterion optimum instead.
 The exhaustive search evaluates whole blocks of candidate allocation
 matrices with batched linear algebra: within a ``(T, C, m)`` block every
 candidate is a multiset of rows from a shared sequence pool, so its
-information matrix is a count-weighted sum of per-sequence contributions and
-thousands of candidates are reduced per matrix multiplication.  A
-cross-entropy stochastic search covers spaces too large to enumerate.
+``Lambda_q`` follows in closed form from count-weighted sums of per-sequence
+statistics (:func:`swdesign.model.covariance_kernel`), and thousands of
+candidates are reduced per matrix multiplication and ``q x q`` inversion.  A
+cross-entropy stochastic search covers spaces too large to enumerate; both
+searches share that kernel and the power-feasibility test.
 """
 
 from __future__ import annotations
@@ -39,10 +41,10 @@ from .inference import (
     variance_limits,
 )
 from .model import (
-    RANK_RTOL,
     CovarianceSummary,
     Design,
     VarianceComponents,
+    covariance_kernel,
     sequence_contributions,
     treatment_covariance,
 )
@@ -300,33 +302,33 @@ def evaluate_design(
 
 def _combo_counts(
     seqs: list, C: int, start: int, stop: int, equal_alloc: bool
-):
+) -> np.ndarray:
     """Count matrix of multiset candidates ``start..stop`` of a block.
 
-    Returns ``(counts, keep_index)`` where ``counts`` is a
-    ``k x len(seqs)`` float matrix of row multiplicities and ``keep_index``
-    maps its rows back to positions in the full lexicographic combination
-    stream (after the equal-allocation filter, when active).
+    Row ``k`` holds the multiplicity of each sequence of ``seqs`` in the
+    ``k``-th combination of the lexicographic stream, after the
+    equal-allocation filter when active.
     """
-    n = len(seqs)
     combos = itertools.islice(
-        itertools.combinations_with_replacement(range(n), C), start, stop
+        itertools.combinations_with_replacement(range(len(seqs)), C),
+        start, stop,
     )
     idx = np.fromiter(
         itertools.chain.from_iterable(combos), dtype=np.int64
     ).reshape(-1, C)
-    k = idx.shape[0]
+    counts = _row_counts(idx, len(seqs))
+    if equal_alloc:
+        mx = counts.max(axis=1, keepdims=True)
+        counts = counts[((counts == mx) | (counts == 0)).all(axis=1)]
+    return counts
+
+
+def _row_counts(idx: np.ndarray, n: int) -> np.ndarray:
+    """``k x n`` multiplicities of the sequence indices in each row of idx."""
+    k, C = idx.shape
     counts = np.zeros((k, n))
     np.add.at(counts, (np.repeat(np.arange(k), C), idx.ravel()), 1.0)
-    if equal_alloc:
-        used = counts > 0
-        mx = counts.max(axis=1, keepdims=True)
-        keep = ((counts == mx) | ~used).all(axis=1)
-        counts = counts[keep]
-        keep_index = np.nonzero(keep)[0] + start
-    else:
-        keep_index = np.arange(start, k + start)
-    return counts, keep_index
+    return counts
 
 
 def _counts_to_rows(counts_row: np.ndarray, seqs: list) -> tuple:
@@ -335,6 +337,32 @@ def _counts_to_rows(counts_row: np.ndarray, seqs: list) -> tuple:
     for s, c in zip(seqs, counts_row):
         rows.extend([tuple(s)] * int(round(c)))
     return tuple(rows)
+
+
+def _power_feasible(
+    Lambda: np.ndarray, diag: np.ndarray, spec: PowerSpec, seed: int
+) -> np.ndarray:
+    """Mask of the candidates whose ``Lambda`` meets the power requirement.
+
+    Individual power is a variance threshold.  Meeting it for every effect
+    implies combined power, so only the candidates that miss it need the
+    combined-power orthant integral.
+    """
+    if spec.beta >= 1:
+        return np.ones(Lambda.shape[0], dtype=bool)
+    q = Lambda.shape[1]
+    e = critical_value(spec.alpha, q, spec.correction)
+    feasible = (diag <= variance_limits(spec.delta, e, spec.beta)).all(axis=1)
+    if spec.power_type == "combined":
+        for i in np.nonzero(~feasible)[0]:
+            sd = np.sqrt(diag[i])
+            corr = Lambda[i] / np.outer(sd, sd)
+            np.fill_diagonal(corr, 1.0)
+            none_reject = mvn_upper_orthant(
+                np.full(q, e), spec.delta / sd, corr, seed
+            )
+            feasible[i] = 1.0 - none_reject >= 1.0 - spec.beta
+    return feasible
 
 
 def _scan_chunk(job: dict) -> dict:
@@ -348,9 +376,7 @@ def _scan_chunk(job: dict) -> dict:
     """
     seqs = job["seqs"]
     C, T, m, D = job["C"], job["T"], job["m"], job["D"]
-    vc = VarianceComponents(*job["vc"])
-    q = D - 1
-    counts, _ = _combo_counts(
+    counts = _combo_counts(
         seqs, C, job["start"], job["stop"], job["equal_alloc"]
     )
     out = {
@@ -360,39 +386,16 @@ def _scan_chunk(job: dict) -> dict:
         "champion": None,
         "unconstrained": None,
     }
-    if counts.shape[0] == 0:
-        return out
-    contribs = sequence_contributions(seqs, m, T, D, vc)
-    p = contribs.shape[1]
-    M = (counts @ contribs.reshape(len(seqs), -1)).reshape(-1, p, p)
-    eigvals = np.linalg.eigvalsh(M)
-    ident = eigvals[:, 0] > eigvals[:, -1] * RANK_RTOL
+    ident, Lambda = covariance_kernel(
+        counts, sequence_contributions(seqs, T, D), m, job["vc"]
+    )
     if not ident.any():
         return out
-    Lambda = np.linalg.inv(M[ident])[:, :q, :q]
     diag = np.diagonal(Lambda, axis1=1, axis2=2)
     crit = criterion_from_name(job["criterion"]).batch(Lambda, diag)
     cost = float(job["cost"])
     out["extrema"] = (cost, cost, float(crit.min()), float(crit.max()))
-
-    if job["var_limits"] is None:
-        feasible = np.ones(crit.shape[0], dtype=bool)
-    else:
-        feasible = (diag <= np.asarray(job["var_limits"])).all(axis=1)
-        if job["power_type"] == "combined":
-            delta = np.asarray(job["delta"], dtype=float)
-            beta = job["beta"]
-            for i in np.nonzero(~feasible)[0]:
-                sd = np.sqrt(diag[i])
-                corr = Lambda[i] / np.outer(sd, sd)
-                np.fill_diagonal(corr, 1.0)
-                none_reject = mvn_upper_orthant(
-                    np.full(q, job["e"]),
-                    delta / sd,
-                    corr,
-                    job["seed"],
-                )
-                feasible[i] = 1.0 - none_reject >= 1.0 - beta
+    feasible = _power_feasible(Lambda, diag, job["spec"], job["seed"])
     out["n_feasible"] = int(feasible.sum())
 
     ident_counts = counts[ident]
@@ -501,12 +504,6 @@ def exhaustive_search(
         raise ValueError(
             f"delta has length {spec.q} but the space has q={q}"
         )
-    e = critical_value(spec.alpha, q, spec.correction) if spec.beta < 1 else 0.0
-    var_limits = (
-        tuple(variance_limits(spec.delta, e, spec.beta))
-        if spec.beta < 1
-        else None
-    )
     tie_mode = "lex" if objective.w == 1 else "crit"
 
     jobs = []
@@ -520,17 +517,13 @@ def exhaustive_search(
                     "T": T,
                     "m": m,
                     "D": space.D,
-                    "vc": vc.as_tuple(),
+                    "vc": vc,
                     "start": start,
                     "stop": min(start + _CHUNK, n_combos),
                     "equal_alloc": space.requires_equal_allocation(),
                     "criterion": objective.criterion.name,
                     "cost": cost,
-                    "delta": tuple(spec.delta),
-                    "beta": spec.beta,
-                    "e": e,
-                    "var_limits": var_limits,
-                    "power_type": spec.power_type,
+                    "spec": spec,
                     "seed": seed,
                     "tie_mode": tie_mode,
                 }
@@ -691,12 +684,7 @@ def cross_entropy_search(
         raise ValueError(
             f"delta has length {spec.q} but the space has q={q}"
         )
-    contribs = sequence_contributions(seqs, m, T, D, vc)
-    p = contribs.shape[1]
-    flat = contribs.reshape(n, -1)
-    if spec.beta < 1:
-        e = critical_value(spec.alpha, q, spec.correction)
-        var_limits = variance_limits(spec.delta, e, spec.beta)
+    contributions = sequence_contributions(seqs, T, D)
     rng = np.random.default_rng(params.seed)
     probs = np.full((C, n), 1.0 / n)
     n_elite = max(1, int(round(params.elite_fraction * params.population_size)))
@@ -711,49 +699,30 @@ def cross_entropy_search(
         u = rng.random((params.population_size, C))
         idx = _draw_rows(probs, u)
         n_evaluated += params.population_size
-        counts = np.zeros((params.population_size, n))
-        np.add.at(
-            counts,
-            (
-                np.repeat(np.arange(params.population_size), C),
-                idx.ravel(),
-            ),
-            1.0,
-        )
-        M = (counts @ flat).reshape(-1, p, p)
-        eigvals = np.linalg.eigvalsh(M)
-        ident = eigvals[:, 0] > eigvals[:, -1] * RANK_RTOL
+        counts = _row_counts(idx, n)
+        ident, Lambda = covariance_kernel(counts, contributions, m, vc)
         score = np.full(params.population_size, np.inf)
         if ident.any():
             sampled_identifiable = True
-            Lambda = np.linalg.inv(M[ident])[:, :q, :q]
             diag = np.diagonal(Lambda, axis1=1, axis2=2)
             crit = objective.criterion.batch(Lambda, diag)
             raw = np.full(params.population_size, np.inf)
             raw[ident] = crit
-            if spec.beta >= 1.0:
-                feasible = ident.copy()
-            else:
-                feasible = np.zeros_like(ident)
-                feasible[ident] = (diag <= var_limits).all(axis=1)
+            feasible = np.zeros_like(ident)
+            feasible[ident] = _power_feasible(
+                Lambda, diag, spec, params.seed
+            )
             score[feasible] = raw[feasible]
             un_j = int(np.argmin(raw))
-            if np.isfinite(raw[un_j]):
-                cand = (
-                    float(raw[un_j]),
-                    tuple(sorted(tuple(seqs[k]) for k in idx[un_j])),
-                )
-                if best_unconstrained is None or cand < best_unconstrained:
-                    best_unconstrained = cand
+            cand = (float(raw[un_j]), _counts_to_rows(counts[un_j], seqs))
+            if best_unconstrained is None or cand < best_unconstrained:
+                best_unconstrained = cand
         order = np.argsort(score, kind="stable")
         elite = order[: n_elite][np.isfinite(score[order[:n_elite]])]
         improved = False
         if elite.size:
             j = int(elite[0])
-            cand = (
-                float(score[j]),
-                tuple(sorted(tuple(seqs[k]) for k in idx[j])),
-            )
+            cand = (float(score[j]), _counts_to_rows(counts[j], seqs))
             if best is None or cand < best:
                 best = cand
                 improved = True

@@ -145,6 +145,32 @@ class TestConfigErrors:
         )
         assert "space.restrictions[2]" in line and "'monotonic'" in line
 
+    @pytest.mark.parametrize(
+        "field,edit",
+        [
+            ("space.D", lambda s: s.update(D="three")),
+            ("space.T[1]", lambda s: s.update(T=[3, "4"])),
+            ("space.C", lambda s: s.update(C="six")),
+            ("space.m", lambda s: s.update(m=2.5)),
+            ("space.m.min", lambda s: s.update(m={"min": "2", "budget": 9})),
+            ("space.m.budget", lambda s: s.update(m={"budget": 9.0})),
+            # JSON true is a Python int; it is still not a count.
+            ("space.C[1]", lambda s: s.update(C=[3, True])),
+        ],
+        ids=["D", "T-entry", "C", "m", "m.min", "m.budget", "C-bool"],
+    )
+    def test_wrongly_typed_space_field(self, runner, tmp_path, field, edit):
+        line = self.run_search(
+            runner, tmp_path, lambda cfg: edit(cfg["space"])
+        )
+        assert f"{field} must be an integer" in line
+
+    def test_space_value_out_of_range(self, runner, tmp_path):
+        line = self.run_search(
+            runner, tmp_path, lambda cfg: cfg["space"].update(C=[1, 3])
+        )
+        assert "space: all C must be >= 2" in line
+
     def test_delta_length_differs_from_q(self, runner, tmp_path):
         line = self.run_search(
             runner, tmp_path, lambda cfg: cfg["power"].update(delta=[1.5])

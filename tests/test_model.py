@@ -1,5 +1,7 @@
 """Model-layer tests: design records, variance components, covariance."""
 
+from math import comb
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -171,20 +173,30 @@ class TestMatrices:
             )
 
     def test_information_matrix_is_sum_of_contributions(self, reference_vc):
+        # The treatment block of the p x p information matrix is the sum
+        # over rows of (Z_s'Z_s - gamma (Z_s'1)(1'Z_s)) / a.
         design = Design(8, 6, 6, REFERENCE_X, 3)
-        contribs = sequence_contributions(
-            design.sequences(), 8, 6, 3, reference_vc
+        Z, ZtZ, Zt1 = sequence_contributions(design.sequences(), 6, 3)
+        np.testing.assert_array_equal(
+            Z, design.X[:, :, None] >= np.array([1, 2])
         )
+        s_c, s_th, s_s, s_e = reference_vc.as_tuple()
+        a, b = s_th + s_e / 8, s_c + s_s / 8
+        gamma = b / (a + 6 * b)
+        block = (
+            ZtZ.sum(axis=0)
+            - gamma * np.einsum("si,sj->ij", Zt1, Zt1)
+        ) / a
         np.testing.assert_allclose(
-            information_matrix(design, reference_vc), contribs.sum(axis=0)
+            information_matrix(design, reference_vc)[:2, :2], block,
+            rtol=1e-12,
         )
 
-    def test_contributions_are_read_only(self, reference_vc):
-        contribs = sequence_contributions(
-            ((0, 1), (0, 0)), 2, 2, 2, reference_vc
-        )
-        with pytest.raises(ValueError):
-            contribs[0, 0, 0] = 1.0
+    def test_contributions_are_read_only(self):
+        for arr in sequence_contributions(((0, 1), (0, 0)), 2, 2):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[(0,) * arr.ndim] = 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -257,3 +269,73 @@ class TestTreatmentCovariance:
 
     def test_identifiable_reference(self, reference_design, reference_vc):
         assert is_identifiable(reference_design, reference_vc)
+
+
+# ---------------------------------------------------------------------------
+# Closed-form kernel against the p x p information matrix, whole spaces
+# ---------------------------------------------------------------------------
+
+
+COHORT_VC = VarianceComponents(0.05, 0.02, 0.1, 0.83)
+
+WHOLE_SPACES = [
+    # (T, C, m, D, restriction names, equal allocation)
+    (3, 3, 2, 2, (), False),
+    (4, 4, 5, 2, ("monotone",), False),
+    (3, 4, 3, 2, (), True),
+    (3, 3, 4, 3, ("monotone", "identifiable"), False),
+    (3, 2, 2, 3, (), False),
+    (4, 6, 2, 3, ("monotone",), True),
+    (3, 3, 3, 4, ("monotone",), False),
+    (3, 2, 2, 4, (), False),
+]
+
+
+def _reference_information(counts, seqs, m, T, D, vc):
+    """Information matrices of every candidate from the explicit ``V``."""
+    Vinv = np.linalg.inv(cluster_covariance(m, T, vc))
+    ones = np.ones((m, 1))
+    blocks = [np.kron(sequence_block(s, T, D), ones) for s in seqs]
+    per_seq = np.stack([A.T @ Vinv @ A for A in blocks])
+    p = per_seq.shape[1]
+    return (counts @ per_seq.reshape(len(seqs), -1)).reshape(-1, p, p)
+
+
+@pytest.mark.parametrize("vc", [VarianceComponents.from_rho(1.0, 0.05),
+                                COHORT_VC], ids=["cross", "cohort"])
+@pytest.mark.parametrize("T,C,m,D,names,equal", WHOLE_SPACES)
+def test_kernel_matches_information_matrix_on_whole_space(
+    T, C, m, D, names, equal, vc
+):
+    from swdesign.designspace import enumerate_sequences, restriction_from_name
+    from swdesign.model import RANK_RTOL, covariance_kernel
+    from swdesign.search import _combo_counts
+
+    seqs = enumerate_sequences(
+        T, D, [restriction_from_name(n) for n in names]
+    )
+    counts = _combo_counts(
+        seqs, C, 0, comb(len(seqs) + C - 1, C), equal
+    )
+    ident, Lambda = covariance_kernel(
+        counts, sequence_contributions(seqs, T, D), m, vc
+    )
+    M = _reference_information(counts, seqs, m, T, D, vc)
+    vals = np.linalg.eigvalsh(M)
+    np.testing.assert_array_equal(ident, vals[:, 0] > vals[:, -1] * RANK_RTOL)
+    assert ident.any()
+    if "identifiable" not in names:
+        assert not ident.all()
+    want = np.linalg.inv(M[ident])[:, : D - 1, : D - 1]
+    scale = np.abs(want).max(axis=(1, 2))[:, None, None]
+    assert (np.abs(Lambda - want) <= 1e-9 * scale).all()
+    # One design per space through the public single-design path.
+    k = int(np.nonzero(ident)[0][-1])
+    rows = [s for s, c in zip(seqs, counts[k]) for _ in range(int(c))]
+    design = Design(m, C, T, np.array(rows), D)
+    assert is_identifiable(design, vc)
+    oracle = _brute_force_lambda_q(design, vc)
+    np.testing.assert_allclose(
+        treatment_covariance(design, vc).Lambda_q, oracle,
+        rtol=0, atol=1e-9 * np.abs(oracle).max(),
+    )

@@ -317,6 +317,29 @@ class TestCrossEntropy:
                 CEParams(population_size=50, max_iterations=3),
             )
 
+    def test_honours_combined_power(self):
+        # Individual power is infeasible everywhere in this block, combined
+        # power is not: the search must integrate, not apply the threshold.
+        restrictions = (MonotoneNondecreasing(), Identifiable())
+        spec = PowerSpec(alpha=0.05, beta=0.2, delta=[1.5, 0.75],
+                         power_type="combined")
+        obj = Objective(w=0.0, criterion=Eoptimal())
+        exact = exhaustive_search(
+            DesignSpace.single(3, 3, 4, 3, restrictions), VC, spec, obj
+        )
+        assert exact.status == "ok" and exact.n_feasible == 65
+        assert exact.criterion_value == pytest.approx(0.22196, abs=1e-5)
+        ce = cross_entropy_search(
+            3, 3, 4, 3, restrictions, VC, obj, spec,
+            CEParams(population_size=200, max_iterations=20),
+        )
+        assert ce.status == "ok"
+        assert ce.power.meets_requirement
+        assert ce.power.combined >= 1 - spec.beta
+        assert ce.criterion_value == pytest.approx(
+            exact.criterion_value, rel=1e-9
+        )
+
     def test_delta_length_checked(self):
         restrictions = (MonotoneNondecreasing(), Identifiable())
         spec = PowerSpec(alpha=0.05, beta=0.2, delta=[1.0])
