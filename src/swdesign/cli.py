@@ -111,7 +111,16 @@ def _required(block: dict, key, path: str = ""):
         raise click.ClickException(f"{name} is required") from None
 
 
+def _number(value, name: str):
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise click.ClickException(f"{name} must be a number, got {value!r}")
+    return value
+
+
 def _build_vc(block: dict) -> VarianceComponents:
+    for key, value in block.items():
+        if key.startswith(("rho", "sigma2")):
+            _number(value, f"model.{key}")
     sigma2 = block.get("sigma2", 1.0)
     try:
         if "rho" in block:
@@ -228,9 +237,9 @@ def _build_power(block: dict | None, q: int) -> PowerSpec:
     block = block or {}
     try:
         spec = PowerSpec(
-            alpha=block.get("alpha", 0.05),
+            alpha=_number(block.get("alpha", 0.05), "power.alpha"),
             correction=block.get("correction", "bonferroni"),
-            beta=block.get("beta", 1.0),
+            beta=_number(block.get("beta", 1.0), "power.beta"),
             delta=block.get("delta", []),
             power_type=block.get("power_type", "individual"),
         )
@@ -248,7 +257,7 @@ def _build_objective(block: dict | None) -> Objective:
     block = block or {}
     try:
         return Objective(
-            w=block.get("w", 0.0),
+            w=_number(block.get("w", 0.0), "objective.w"),
             criterion=criterion_from_name(block.get("criterion", "E")),
             cost_fn=total_observations,
         )
@@ -585,7 +594,7 @@ def sensitivity(config_path, design_path, workers, seed, out):
     grid = GridSpec(
         sigma2_c_range=tuple(g.get("sigma2_c_range", (0.001, 0.25))),
         sigma2_eps_range=tuple(g.get("sigma2_eps_range", (0.25, 4.0))),
-        steps=g.get("steps", 26),
+        steps=_ints(g.get("steps", 26), "sensitivity.steps")[0],
     )
     result = sensitivity_map(grid, space, objective, spec,
                              workers=workers, seed=seed)
@@ -639,17 +648,21 @@ def analytic(config_path, design_path, out):
     if not block or "op" not in block:
         raise click.ClickException('config needs an "analytic" block with "op"')
     op = block["op"]
+
+    def arg(key):
+        return _required(block, key, "analytic")
+
     if op == "cluster-mean-correlation":
         value = analytic_mod.cluster_mean_correlation(
-            block["m"], block["T"], block["rho"]
+            arg("m"), arg("T"), arg("rho")
         )
     elif op == "rho-from-E":
-        value = analytic_mod.rho_from_E(block["m"], block["T"], block["E"])
+        value = analytic_mod.rho_from_E(arg("m"), arg("T"), arg("E"))
     elif op == "sequence-count":
-        value = analytic_mod.optimal_sequence_count(block["E"])
+        value = analytic_mod.optimal_sequence_count(arg("E"))
     elif op == "li-proportions":
         res = analytic_mod.li_optimal_proportions(
-            block["m"], block["T"], block["rho0"], block["rho1"], block["rho2"]
+            arg("m"), arg("T"), arg("rho0"), arg("rho1"), arg("rho2")
         )
         value = {
             "p": [float(v) for v in res.p],
@@ -669,7 +682,7 @@ def analytic(config_path, design_path, out):
             )
         ]
     elif op == "binary-residual-variance":
-        value = analytic_mod.binary_residual_variance(block["p_bar"])
+        value = analytic_mod.binary_residual_variance(arg("p_bar"))
     else:
         raise click.ClickException(f"unknown analytic op {op!r}")
     click.echo(json.dumps({"op": op, "value": value}, sort_keys=True))

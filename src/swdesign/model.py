@@ -42,6 +42,7 @@ __all__ = [
     "sequence_block",
     "mean_precision",
     "sequence_contributions",
+    "kernel_sums",
     "covariance_kernel",
     "information_matrix",
     "parameter_labels",
@@ -365,43 +366,47 @@ def sequence_contributions(
     return _cached_contributions(key, T, D)
 
 
-def covariance_kernel(
-    counts: np.ndarray, contributions, m: int, vc: VarianceComponents
-) -> tuple[np.ndarray, np.ndarray]:
-    """Batched ``Lambda_q`` of candidates given as sequence counts.
+def kernel_sums(counts: np.ndarray, contributions):
+    """``m``- and variance-free sums ``(P, Q, scale)`` of candidates.
 
     Row ``k`` of ``counts`` holds the multiplicities ``c_s`` of the
     sequences of ``contributions`` (:func:`sequence_contributions`) in
     candidate ``k``.  With ``Zbar = sum_s c_s Z_s`` and ``C = sum_s c_s``,
-    eliminating ``[mu, pi_2..pi_T]`` gives ``Lambda_q = a (P - gamma Q)^-1``
-    with ``gamma = b / (a + T b)`` (the multi-arm form of Hussey & Hughes,
-    2007), where
 
         P = sum_s c_s Z_s'Z_s - Zbar'Zbar / C
-        Q = sum_s c_s (Z_s'1)(1'Z_s) - (Zbar'1)(1'Zbar) / C.
+        Q = sum_s c_s (Z_s'1)(1'Z_s) - (Zbar'1)(1'Zbar) / C
 
-    A candidate is identifiable when the smallest eigenvalue of
-    ``P - gamma Q`` exceeds ``RANK_RTOL`` times the entry sum of ``Zbar``,
-    which is ``tr(sum_s c_s Z_s'Z_s)`` for 0/1 ``Z_s``: a scale that,
-    unlike the largest eigenvalue, is meaningful at ``q = 1``.
-    Returns the identifiability mask over the rows of ``counts`` and the
-    ``Lambda_q`` stack of the identifiable rows only.
+    and ``scale`` is the entry sum of ``Zbar``, which is
+    ``tr(sum_s c_s Z_s'Z_s)`` for 0/1 ``Z_s``.
     """
     Z, ZtZ, Zt1 = contributions
     n, T, q = Z.shape
-    a, b = _mean_variances(m, vc)
-    gamma = b / (a + T * b)
-    per_seq = ZtZ - gamma * Zt1[:, :, None] * Zt1[:, None, :]
-    sums = counts @ np.concatenate(
-        [per_seq.reshape(n, -1), Z.reshape(n, -1)], axis=1
-    )
-    Zbar = sums[:, q * q:].reshape(-1, T, q)
+    C = counts.sum(axis=1)[:, None, None]
+    Zbar = (counts @ Z.reshape(n, -1)).reshape(-1, T, q)
     Zbar1 = Zbar.sum(axis=1)
-    K = sums[:, : q * q].reshape(-1, q, q) - (
-        Zbar.transpose(0, 2, 1) @ Zbar
-        - gamma * Zbar1[:, :, None] * Zbar1[:, None, :]
-    ) / counts.sum(axis=1)[:, None, None]
-    ident = np.linalg.eigvalsh(K)[:, 0] > RANK_RTOL * Zbar.sum(axis=(1, 2))
+    P = (counts @ ZtZ.reshape(n, -1)).reshape(-1, q, q)
+    P -= Zbar.transpose(0, 2, 1) @ Zbar / C
+    Q = counts @ (Zt1[:, :, None] * Zt1[:, None, :]).reshape(n, -1)
+    Q = Q.reshape(-1, q, q) - Zbar1[:, :, None] * Zbar1[:, None, :] / C
+    return P, Q, Zbar1.sum(axis=1)
+
+
+def covariance_kernel(
+    sums, T: int, m: int, vc: VarianceComponents
+) -> tuple[np.ndarray, np.ndarray]:
+    """Batched ``Lambda_q`` at one ``(m, vc)`` from :func:`kernel_sums`.
+
+    Eliminating ``[mu, pi_2..pi_T]`` gives ``Lambda_q = a (P - gamma Q)^-1``
+    with ``gamma = b / (a + T b)`` (the multi-arm form of Hussey & Hughes,
+    2007).  A candidate is identifiable when the smallest eigenvalue of
+    ``P - gamma Q`` exceeds ``RANK_RTOL * scale``, a scale that, unlike the
+    largest eigenvalue, is meaningful at ``q = 1``.  Returns the mask and
+    the ``Lambda_q`` stack of the identifiable candidates.
+    """
+    P, Q, scale = sums
+    a, b = _mean_variances(m, vc)
+    K = P - (b / (a + T * b)) * Q
+    ident = np.linalg.eigvalsh(K)[:, 0] > RANK_RTOL * scale
     return ident, a * np.linalg.inv(K[ident])
 
 
@@ -450,10 +455,11 @@ def _rank_deficient_labels(M: np.ndarray, T: int, D: int) -> list[str]:
 def _design_kernel(design: Design, vc: VarianceComponents):
     """:func:`covariance_kernel` of one design over its distinct rows."""
     seqs, counts = np.unique(design.X, axis=0, return_counts=True)
-    ident, Lambda = covariance_kernel(
+    sums = kernel_sums(
         counts[None, :].astype(float),
-        sequence_contributions(seqs, design.T, design.D), design.m, vc,
+        sequence_contributions(seqs, design.T, design.D),
     )
+    ident, Lambda = covariance_kernel(sums, design.T, design.m, vc)
     return ident[0], Lambda
 
 

@@ -13,21 +13,23 @@ Minimization runs over the designs that additionally meet the configured
 power requirement; when none does, the search reports that no admissible
 design exists and suggests the unconstrained criterion optimum instead.
 
-The exhaustive search evaluates whole blocks of candidate allocation
-matrices with batched linear algebra: within a ``(T, C, m)`` block every
-candidate is a multiset of rows from a shared sequence pool, so its
-``Lambda_q`` follows in closed form from count-weighted sums of per-sequence
-statistics (:func:`swdesign.model.covariance_kernel`), and thousands of
-candidates are reduced per matrix multiplication and ``q x q`` inversion.  A
-cross-entropy stochastic search covers spaces too large to enumerate; both
-searches share that kernel and the power-feasibility test.
+The exhaustive search evaluates candidate allocation matrices in batches:
+within a ``(T, C)`` block each is a multiset of rows from one sequence pool,
+and its ``Lambda_q`` follows in closed form from count-weighted sums that
+depend on neither ``m`` nor the variances (:mod:`swdesign.model`).  Each
+chunk of a block is enumerated and summed once, then finished for every
+``m`` and, in the sensitivity maps, every grid point.  A cross-entropy
+stochastic search covers spaces too large to enumerate; all searches share
+that kernel and the power-feasibility test.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from math import comb
 
 import numpy as np
 
@@ -45,6 +47,7 @@ from .model import (
     Design,
     VarianceComponents,
     covariance_kernel,
+    kernel_sums,
     sequence_contributions,
     treatment_covariance,
 )
@@ -344,83 +347,78 @@ def _power_feasible(
 ) -> np.ndarray:
     """Mask of the candidates whose ``Lambda`` meets the power requirement.
 
-    Individual power is a variance threshold.  Meeting it for every effect
-    implies combined power, so only the candidates that miss it need the
-    combined-power orthant integral.
+    Individual power is a variance threshold per effect.  Combined power is
+    at least every effect's individual power, so a candidate that meets any
+    one threshold has it; only the candidates that miss every threshold
+    need the combined-power orthant integral.
     """
     if spec.beta >= 1:
         return np.ones(Lambda.shape[0], dtype=bool)
     q = Lambda.shape[1]
     e = critical_value(spec.alpha, q, spec.correction)
-    feasible = (diag <= variance_limits(spec.delta, e, spec.beta)).all(axis=1)
-    if spec.power_type == "combined":
-        for i in np.nonzero(~feasible)[0]:
-            sd = np.sqrt(diag[i])
-            corr = Lambda[i] / np.outer(sd, sd)
-            np.fill_diagonal(corr, 1.0)
-            none_reject = mvn_upper_orthant(
-                np.full(q, e), spec.delta / sd, corr, seed
-            )
-            feasible[i] = 1.0 - none_reject >= 1.0 - spec.beta
+    meets = diag <= variance_limits(spec.delta, e, spec.beta)
+    if spec.power_type != "combined":
+        return meets.all(axis=1)
+    feasible = meets.any(axis=1)
+    for i in np.nonzero(~feasible)[0]:
+        sd = np.sqrt(diag[i])
+        corr = Lambda[i] / np.outer(sd, sd)
+        np.fill_diagonal(corr, 1.0)
+        none_reject = mvn_upper_orthant(
+            np.full(q, e), spec.delta / sd, corr, seed
+        )
+        feasible[i] = 1.0 - none_reject >= 1.0 - spec.beta
     return feasible
 
 
-def _scan_chunk(job: dict) -> dict:
-    """Evaluate one chunk of a block; pure function of its arguments.
+def _scan_chunk(job: dict) -> list:
+    """Records of one chunk of a ``(T, C)`` block at every search setting.
 
-    Returns extrema of cost/criterion over identifiable candidates, the
-    feasible champion of the chunk (minimal criterion, or lexicographically
-    smallest when ``tie_mode='lex'``), the unconstrained champion, and
-    counts.  The reduction over chunk results is associative and
-    commutative, so parallel execution order cannot affect the outcome.
+    The chunk is enumerated and reduced to its kernel sums once.  Per ``vc``
+    and ``(m, cost)`` the record is ``(n_evaluated, n_feasible, extrema,
+    champion, unconstrained)``: the cost and criterion range over
+    identifiable candidates, the feasible champion (minimal criterion, or
+    first in the stream when ``tie_mode='lex'``) and the unconstrained one.
     """
-    seqs = job["seqs"]
-    C, T, m, D = job["C"], job["T"], job["m"], job["D"]
+    seqs, C, T = job["seqs"], job["C"], job["T"]
     counts = _combo_counts(
         seqs, C, job["start"], job["stop"], job["equal_alloc"]
     )
-    out = {
-        "n_evaluated": counts.shape[0],
-        "n_feasible": 0,
-        "extrema": None,
-        "champion": None,
-        "unconstrained": None,
-    }
-    ident, Lambda = covariance_kernel(
-        counts, sequence_contributions(seqs, T, D), m, job["vc"]
-    )
-    if not ident.any():
-        return out
-    diag = np.diagonal(Lambda, axis1=1, axis2=2)
-    crit = criterion_from_name(job["criterion"]).batch(Lambda, diag)
-    cost = float(job["cost"])
-    out["extrema"] = (cost, cost, float(crit.min()), float(crit.max()))
-    feasible = _power_feasible(Lambda, diag, job["spec"], job["seed"])
-    out["n_feasible"] = int(feasible.sum())
+    sums = kernel_sums(counts, sequence_contributions(seqs, T, job["D"]))
 
-    ident_counts = counts[ident]
+    def record(vc, m, cost):
+        ident, Lambda = covariance_kernel(sums, T, m, vc)
+        if not ident.any():
+            return counts.shape[0], 0, None, None, None
+        rows_of = np.nonzero(ident)[0]
+        diag = np.diagonal(Lambda, axis1=1, axis2=2)
+        crit = job["criterion"].batch(Lambda, diag)
+        feasible = _power_feasible(Lambda, diag, job["spec"], job["seed"])
 
-    def pick(mask, by_crit):
-        if not mask.any():
-            return None
-        if by_crit:
-            vals = np.where(mask, crit, np.inf)
-            cmin = float(vals.min())
-            tied = np.nonzero(vals <= cmin + _TIE_RTOL * cmin)[0]
-            j = min(
-                (int(t) for t in tied),
-                key=lambda t: _counts_to_rows(ident_counts[t], seqs),
-            )
-        else:
-            j = int(np.nonzero(mask)[0][0])
-        rows = _counts_to_rows(ident_counts[j], seqs)
-        return (float(crit[j]), cost, (m, C, T), rows)
+        def rows(j):
+            return _counts_to_rows(counts[rows_of[j]], seqs)
 
-    out["champion"] = pick(feasible, job["tie_mode"] == "crit")
-    out["unconstrained"] = pick(
-        np.ones(crit.shape[0], dtype=bool), True
-    )
-    return out
+        def pick(mask, by_crit):
+            if not mask.any():
+                return None
+            if by_crit:
+                vals = np.where(mask, crit, np.inf)
+                cmin = float(vals.min())
+                tied = np.nonzero(vals <= cmin + _TIE_RTOL * cmin)[0]
+                j = min((int(t) for t in tied), key=rows)
+            else:
+                j = int(np.nonzero(mask)[0][0])
+            return (float(crit[j]), cost, (m, C, T), rows(j))
+
+        return (
+            counts.shape[0],
+            int(feasible.sum()),
+            (cost, float(crit.min()), float(crit.max())),
+            pick(feasible, job["tie_mode"] == "crit"),
+            pick(np.ones(crit.shape[0], dtype=bool), True),
+        )
+
+    return [[record(vc, m, cost) for m, cost in job["ms"]] for vc in job["vcs"]]
 
 
 def _better(a, b):
@@ -439,6 +437,139 @@ def _better(a, b):
     if a[1] != b[1]:
         return a if a[1] < b[1] else b
     return a if a[3] <= b[3] else b
+
+
+def _result(records, vc, space, spec, objective, seed) -> SearchResult:
+    """The winner among one ``vc``'s :func:`_scan_chunk` records.
+
+    The reduction is associative and commutative, so neither the worker
+    count nor the chunk order affects the outcome.
+    """
+    extrema = [r[2] for r in records if r[2] is not None]
+    fmin = min((e[0] for e in extrema), default=np.inf)
+    fmax = max((e[0] for e in extrema), default=-np.inf)
+    gmin = min((e[1] for e in extrema), default=np.inf)
+    gmax = max((e[2] for e in extrema), default=-np.inf)
+    scaling = dict(cost_min=fmin, cost_max=fmax,
+                   criterion_min=gmin, criterion_max=gmax)
+    champions: dict[float, tuple] = {}
+    for ch in (r[3] for r in records if r[3] is not None):
+        champions[ch[1]] = _better(champions.get(ch[1]), ch)
+    n_evaluated = sum(r[0] for r in records)
+    n_feasible = sum(r[1] for r in records)
+
+    def scaled_objective(cost, crit):
+        f_term = 0.0 if fmax <= fmin else (cost - fmin) / (fmax - fmin)
+        g_term = 0.0 if gmax <= gmin else (crit - gmin) / (gmax - gmin)
+        return objective.w * f_term + (1.0 - objective.w) * g_term
+
+    # The champions compete on the scaled objective under the same tie rule.
+    winner = functools.reduce(_better, (
+        (scaled_objective(r[1], r[0]), r[1], r, r[3])
+        for r in champions.values()
+    ), None)
+    status = "ok" if winner is not None else "no-admissible-design"
+    record = winner[2] if winner else functools.reduce(
+        _better, (r[4] for r in records), None
+    )
+    if record is None:
+        nan = float("nan")
+        return SearchResult(None, nan, nan, nan, None, scaling, n_evaluated,
+                            0, status)
+    crit, cost, (m, C, T), rows = record
+    design = Design(m, C, T, np.array(rows, dtype=int), space.D)
+    power = None
+    if spec.delta.size == space.D - 1:
+        power = power_report(treatment_covariance(design, vc), spec, seed)
+    return SearchResult(
+        best=design,
+        criterion_value=crit,
+        cost=cost,
+        objective_value=scaled_objective(cost, crit),
+        power=power,
+        scaling=scaling,
+        n_evaluated=n_evaluated,
+        n_feasible=n_feasible,
+        status=status,
+    )
+
+
+def _search(
+    space: DesignSpace,
+    vcs: list,
+    spec: PowerSpec,
+    objective: Objective,
+    workers: int = 1,
+    candidate_cap: int = 10**8,
+    seed: int = 0,
+    progress=None,
+) -> list[SearchResult]:
+    """:func:`exhaustive_search` of ``space`` at every setting of ``vcs``.
+
+    Each chunk of each ``(T, C)`` block is enumerated and reduced to its
+    kernel sums once, then finished for every ``(vc, m)``; each ``vc`` keeps
+    its own records.  ``progress`` follows the first ``vc``.
+    """
+    common = dict(
+        D=space.D, vcs=vcs, equal_alloc=space.requires_equal_allocation(),
+        criterion=objective.criterion, spec=spec, seed=seed,
+        tie_mode="lex" if objective.w == 1 else "crit",
+    )
+    jobs = []
+    total = 0
+    for (T, C), triples in itertools.groupby(space.blocks(), lambda b: b[:2]):
+        ms = [m for _, _, m in triples]
+        seqs = enumerate_sequences(T, space.D, space.restrictions)
+        if not seqs:
+            continue
+        n_combos = comb(len(seqs) + C - 1, C)
+        total += n_combos * len(ms)
+        block = dict(common, seqs=seqs, C=C, T=T, ms=[
+            (m, objective.cost_fn(Design(m, C, T, np.zeros((C, T)), space.D)))
+            for m in ms
+        ])
+        jobs += [
+            dict(block, start=start, stop=min(start + _CHUNK, n_combos))
+            for start in range(0, n_combos, _CHUNK)
+        ]
+    if total > candidate_cap:
+        raise CandidateCapExceeded(
+            f"space holds {total} candidates, above the cap of "
+            f"{candidate_cap}; use the cross-entropy search for spaces of "
+            "this size"
+        )
+    if spec.beta < 1 and spec.q != space.D - 1:
+        raise ValueError(
+            f"delta has length {spec.q} but the space has q={space.D - 1}"
+        )
+
+    records = [[] for _ in vcs]
+
+    def absorb(res):
+        for group, chunk_records in zip(records, res):
+            group.extend(chunk_records)
+        if progress is not None:
+            progress(sum(r[0] for r in records[0]), min(
+                (r[3][0] for r in records[0] if r[3] is not None),
+                default=float("nan"),
+            ))
+
+    if workers <= 1:
+        for job in jobs:
+            absorb(_scan_chunk(job))
+    else:
+        # Imported here: multiprocessing adds tens of milliseconds to every
+        # cold start that never uses it.
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            for res in pool.map(_scan_chunk, jobs, chunksize=1):
+                absorb(res)
+
+    return [
+        _result(group, vc, space, spec, objective, seed)
+        for group, vc in zip(records, vcs)
+    ]
 
 
 def exhaustive_search(
@@ -481,152 +612,9 @@ def exhaustive_search(
         power requirement; ``best`` then holds the unconstrained criterion
         optimum as a suggestion.
     """
-    from math import comb
-
-    blocks = []
-    total = 0
-    for T, C, m in space.blocks():
-        seqs = enumerate_sequences(T, space.D, space.restrictions)
-        if not seqs:
-            continue
-        n_combos = comb(len(seqs) + C - 1, C)
-        total += n_combos
-        blocks.append((T, C, m, seqs, n_combos))
-    if total > candidate_cap:
-        raise CandidateCapExceeded(
-            f"space holds {total} candidates, above the cap of "
-            f"{candidate_cap}; use the cross-entropy search for spaces of "
-            "this size"
-        )
-
-    q = space.D - 1
-    if spec.beta < 1 and spec.q != q:
-        raise ValueError(
-            f"delta has length {spec.q} but the space has q={q}"
-        )
-    tie_mode = "lex" if objective.w == 1 else "crit"
-
-    jobs = []
-    for T, C, m, seqs, n_combos in blocks:
-        cost = objective.cost_fn(Design(m, C, T, np.tile(0, (C, T)), space.D))
-        for start in range(0, n_combos, _CHUNK):
-            jobs.append(
-                {
-                    "seqs": seqs,
-                    "C": C,
-                    "T": T,
-                    "m": m,
-                    "D": space.D,
-                    "vc": vc,
-                    "start": start,
-                    "stop": min(start + _CHUNK, n_combos),
-                    "equal_alloc": space.requires_equal_allocation(),
-                    "criterion": objective.criterion.name,
-                    "cost": cost,
-                    "spec": spec,
-                    "seed": seed,
-                    "tie_mode": tie_mode,
-                }
-            )
-
-    n_evaluated = 0
-    n_feasible = 0
-    fmin = gmin = np.inf
-    fmax = gmax = -np.inf
-    champions: dict[float, tuple] = {}
-    unconstrained = None
-
-    def absorb(res):
-        nonlocal n_evaluated, n_feasible, fmin, fmax, gmin, gmax, unconstrained
-        n_evaluated += res["n_evaluated"]
-        n_feasible += res["n_feasible"]
-        if res["extrema"] is not None:
-            f_lo, f_hi, g_lo, g_hi = res["extrema"]
-            fmin, fmax = min(fmin, f_lo), max(fmax, f_hi)
-            gmin, gmax = min(gmin, g_lo), max(gmax, g_hi)
-        ch = res["champion"]
-        if ch is not None:
-            champions[ch[1]] = _better(champions.get(ch[1]), ch)
-        unconstrained = _better(unconstrained, res["unconstrained"])
-        if progress is not None:
-            best = min(
-                (c[0] for c in champions.values()), default=float("nan")
-            )
-            progress(n_evaluated, best)
-
-    if workers <= 1:
-        for job in jobs:
-            absorb(_scan_chunk(job))
-    else:
-        # Imported here: multiprocessing adds tens of milliseconds to every
-        # cold start that never uses it.
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for res in pool.map(_scan_chunk, jobs, chunksize=1):
-                absorb(res)
-
-    scaling = {
-        "cost_min": fmin,
-        "cost_max": fmax,
-        "criterion_min": gmin,
-        "criterion_max": gmax,
-    }
-
-    def scaled_objective(cost, crit):
-        f_term = 0.0 if fmax <= fmin else (cost - fmin) / (fmax - fmin)
-        g_term = 0.0 if gmax <= gmin else (crit - gmin) / (gmax - gmin)
-        return objective.w * f_term + (1.0 - objective.w) * g_term
-
-    def finish(record, status):
-        crit, cost, (m, C, T), rows = record
-        design = Design(m, C, T, np.array(rows, dtype=int), space.D)
-        power = (
-            power_report(treatment_covariance(design, vc), spec, seed)
-            if spec.delta.size == q
-            else None
-        )
-        return SearchResult(
-            best=design,
-            criterion_value=crit,
-            cost=cost,
-            objective_value=scaled_objective(cost, crit),
-            power=power,
-            scaling=scaling,
-            n_evaluated=n_evaluated,
-            n_feasible=n_feasible,
-            status=status,
-        )
-
-    if not champions:
-        if unconstrained is None:
-            return SearchResult(
-                best=None,
-                criterion_value=float("nan"),
-                cost=float("nan"),
-                objective_value=float("nan"),
-                power=None,
-                scaling=scaling,
-                n_evaluated=n_evaluated,
-                n_feasible=0,
-                status="no-admissible-design",
-            )
-        return finish(unconstrained, "no-admissible-design")
-
-    winner = None
-    winner_obj = np.inf
-    for record in champions.values():
-        obj = scaled_objective(record[1], record[0])
-        if (
-            winner is None
-            or (not _tie_close(obj, winner_obj) and obj < winner_obj)
-            or (
-                _tie_close(obj, winner_obj)
-                and (record[1], record[3]) < (winner[1], winner[3])
-            )
-        ):
-            winner, winner_obj = record, obj
-    return finish(winner, "ok")
+    return _search(
+        space, [vc], spec, objective, workers, candidate_cap, seed, progress
+    )[0]
 
 
 # ---------------------------------------------------------------------------
@@ -700,7 +688,9 @@ def cross_entropy_search(
         idx = _draw_rows(probs, u)
         n_evaluated += params.population_size
         counts = _row_counts(idx, n)
-        ident, Lambda = covariance_kernel(counts, contributions, m, vc)
+        ident, Lambda = covariance_kernel(
+            kernel_sums(counts, contributions), T, m, vc
+        )
         score = np.full(params.population_size, np.inf)
         if ident.any():
             sampled_identifiable = True
@@ -820,39 +810,33 @@ def sensitivity_map(
     """Optimal design across a grid of cross-sectional variance settings.
 
     At each grid point the marginal model uses ``(sigma2_c, sigma2_eps)``
-    with no period or individual effects, and the configured search (most
-    usefully ``w = 0`` with ``beta = 1``) runs from scratch.  Recurring
-    winners are interned so the map stores compact identifiers.
+    with no period or individual effects, and the optimum is the one
+    :func:`exhaustive_search` finds there (most usefully with ``w = 0`` and
+    ``beta = 1``).  One grouped scan builds each candidate's variance-free
+    kernel sums once and finishes them at every point.
+    Recurring winners are interned so the map stores compact identifiers.
     """
     xs, ys = grid.points()
+    vcs = [VarianceComponents(sigma2_c=c, sigma2_eps=e)
+           for c, e in itertools.product(xs, ys)]
+    results = _search(space, vcs, spec, objective, workers=workers, seed=seed)
     ids = np.empty((xs.size, ys.size), dtype=object)
     crit = np.empty((xs.size, ys.size))
     designs: dict[str, Design] = {}
     keys: dict[tuple, str] = {}
-    for i, sc2 in enumerate(xs):
-        for j, se2 in enumerate(ys):
-            vc = VarianceComponents(sigma2_c=sc2, sigma2_eps=se2)
-            res = exhaustive_search(
-                space, vc, spec, objective, workers=workers, seed=seed
+    for (i, j), vc, res in zip(np.ndindex(ids.shape), vcs, results):
+        if res.best is None:
+            raise SearchFailure(
+                f"no identifiable design at sigma2_c={vc.sigma2_c}, "
+                f"sigma2_eps={vc.sigma2_eps}"
             )
-            if res.best is None:
-                raise SearchFailure(
-                    f"no identifiable design at sigma2_c={sc2}, "
-                    f"sigma2_eps={se2}"
-                )
-            key = (res.best.m, res.best.C, res.best.T, res.best.sequences())
-            if key not in keys:
-                keys[key] = f"design-{len(keys) + 1}"
-                designs[keys[key]] = res.best
-            ids[i, j] = keys[key]
-            crit[i, j] = res.criterion_value
-    return SensitivityResult(
-        sigma2_c_values=xs,
-        sigma2_eps_values=ys,
-        design_ids=ids,
-        criterion_values=crit,
-        designs=designs,
-    )
+        key = (res.best.m, res.best.C, res.best.T, res.best.sequences())
+        if key not in keys:
+            keys[key] = f"design-{len(keys) + 1}"
+            designs[keys[key]] = res.best
+        ids[i, j] = keys[key]
+        crit[i, j] = res.criterion_value
+    return SensitivityResult(xs, ys, ids, crit, designs)
 
 
 def variance_ratio_map(
@@ -868,25 +852,22 @@ def variance_ratio_map(
     """Variance inflation of a fixed design relative to the per-point optimum.
 
     At each grid point, the ratio of ``var(beta_1_hat)`` under the supplied
-    allocation matrix to that of the point's optimal design.  Ratios are
-    at least one up to numerical tolerance wherever the supplied design lies
-    in the searched space.
+    allocation matrix to that of the point's optimal design, taken from
+    :func:`sensitivity_map`.  Ratios are at least one up to numerical
+    tolerance wherever the supplied design lies in the searched space.
     """
     X = np.asarray(X, dtype=int)
-    xs, ys = grid.points()
     if m is None:
-        T = X.shape[1]
-        C = X.shape[0]
-        m = sorted(space.M_sets[(C, T)])[0]
+        m = sorted(space.M_sets[(X.shape[0], X.shape[1])])[0]
     fixed = Design(m, X.shape[0], X.shape[1], X, space.D)
-    out = np.empty((xs.size, ys.size))
-    for i, sc2 in enumerate(xs):
-        for j, se2 in enumerate(ys):
-            vc = VarianceComponents(sigma2_c=sc2, sigma2_eps=se2)
-            res = exhaustive_search(
-                space, vc, spec, objective, workers=workers, seed=seed
-            )
-            opt_var = treatment_covariance(res.best, vc).Lambda_q[0, 0]
-            fix_var = treatment_covariance(fixed, vc).Lambda_q[0, 0]
-            out[i, j] = fix_var / opt_var
+    sens = sensitivity_map(
+        grid, space, objective, spec, workers=workers, seed=seed
+    )
+    xs, ys = sens.sigma2_c_values, sens.sigma2_eps_values
+    out = np.empty(sens.design_ids.shape)
+    for (i, j), did in np.ndenumerate(sens.design_ids):
+        vc = VarianceComponents(sigma2_c=xs[i], sigma2_eps=ys[j])
+        opt_var = treatment_covariance(sens.designs[did], vc).Lambda_q[0, 0]
+        fix_var = treatment_covariance(fixed, vc).Lambda_q[0, 0]
+        out[i, j] = fix_var / opt_var
     return out

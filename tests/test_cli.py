@@ -165,6 +165,34 @@ class TestConfigErrors:
         )
         assert f"{field} must be an integer" in line
 
+    @pytest.mark.parametrize(
+        "field,edit",
+        [
+            ("model.rho", lambda cfg: cfg["model"].update(rho="x")),
+            ("objective.w", lambda cfg: cfg["objective"].update(w="half")),
+            ("power.beta", lambda cfg: cfg["power"].update(beta="0.2")),
+            ("power.alpha", lambda cfg: cfg["power"].update(alpha="x")),
+        ],
+        ids=["rho", "w", "beta", "alpha"],
+    )
+    def test_wrongly_typed_number(self, runner, tmp_path, field, edit):
+        line = self.run_search(runner, tmp_path, edit)
+        assert f"{field} must be a number" in line
+
+    def test_wrongly_typed_sensitivity_steps(self, runner, tmp_path):
+        cfg = write_json(tmp_path / "sens.json", {
+            "schema_version": 1,
+            "space": {"D": 2, "T": 3, "C": 2, "m": 2},
+            "sensitivity": {"steps": "5"},
+        })
+        result = runner.invoke(
+            main, ["sensitivity", "--config", cfg, "--out", str(tmp_path)]
+        )
+        assert result.exit_code == 1
+        assert result.output.strip().splitlines() == [
+            "Error: sensitivity.steps must be an integer, got '5'"
+        ]
+
     def test_space_value_out_of_range(self, runner, tmp_path):
         line = self.run_search(
             runner, tmp_path, lambda cfg: cfg["space"].update(C=[1, 3])
@@ -494,6 +522,17 @@ class TestAnalytic:
             extra_args=["--design", str(path)],
         )
         assert got["value"] == [0.4, 0.1, 0.1, 0.1, 0.3]
+
+    def test_missing_operand(self, runner, tmp_path):
+        cfg = write_json(
+            tmp_path / "an.json",
+            {"schema_version": 1, "analytic": {"op": "sequence-count"}},
+        )
+        result = runner.invoke(main, ["analytic", "--config", cfg])
+        assert result.exit_code == 1
+        assert result.output.strip().splitlines() == [
+            "Error: analytic.E is required"
+        ]
 
     def test_unknown_op(self, runner, tmp_path):
         cfg = write_json(

@@ -308,7 +308,7 @@ def test_kernel_matches_information_matrix_on_whole_space(
     T, C, m, D, names, equal, vc
 ):
     from swdesign.designspace import enumerate_sequences, restriction_from_name
-    from swdesign.model import RANK_RTOL, covariance_kernel
+    from swdesign.model import RANK_RTOL, covariance_kernel, kernel_sums
     from swdesign.search import _combo_counts
 
     seqs = enumerate_sequences(
@@ -318,7 +318,7 @@ def test_kernel_matches_information_matrix_on_whole_space(
         seqs, C, 0, comb(len(seqs) + C - 1, C), equal
     )
     ident, Lambda = covariance_kernel(
-        counts, sequence_contributions(seqs, T, D), m, vc
+        kernel_sums(counts, sequence_contributions(seqs, T, D)), T, m, vc
     )
     M = _reference_information(counts, seqs, m, T, D, vc)
     vals = np.linalg.eigvalsh(M)

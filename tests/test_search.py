@@ -1,5 +1,7 @@
 """Search tests: criteria, objectives, exhaustive and stochastic search."""
 
+from math import comb
+
 import numpy as np
 import pytest
 
@@ -32,6 +34,8 @@ from swdesign import (
 )
 
 from swdesign import search
+from swdesign.designspace import enumerate_sequences
+from swdesign.inference import critical_value, power_report, variance_limits
 from swdesign.search import _draw_rows
 
 from conftest import X, row_multiset
@@ -45,6 +49,12 @@ def small_space(C=4, T=4, m=2, D=2):
     return DesignSpace.single(
         C, T, m, D, (MonotoneNondecreasing(), Identifiable())
     )
+
+
+#: Two T, two C and two or three m per (T, C) block, D = 3.
+BUDGETED = DesignSpace.budgeted(
+    [3, 4], [2, 3], 2, 12, 3, (MonotoneNondecreasing(), Identifiable())
+)
 
 
 # ---------------------------------------------------------------------------
@@ -138,14 +148,71 @@ def brute_force_minimum(space, vc, criterion):
 class TestExhaustiveSearch:
     @pytest.mark.parametrize("crit_name", ["D", "A", "E"])
     def test_matches_brute_force(self, crit_name):
-        space = small_space(C=4, T=4, m=2, D=2)
         criterion = criterion_from_name(crit_name)
-        res = exhaustive_search(
-            space, VC, NO_POWER, Objective(w=0.0, criterion=criterion)
+        # One block, and a budgeted space whose blocks hold several m each.
+        for space in (small_space(C=4, T=4, m=2, D=2), BUDGETED):
+            res = exhaustive_search(
+                space, VC, NO_POWER, Objective(w=0.0, criterion=criterion)
+            )
+            want_val, _ = brute_force_minimum(space, VC, criterion)
+            assert res.status == "ok"
+            assert res.criterion_value == pytest.approx(want_val, rel=1e-10)
+
+    def test_enumerates_each_block_chunk_once(self, monkeypatch):
+        calls = []
+        combo_counts = search._combo_counts
+
+        def counted(seqs, C, start, stop, equal_alloc):
+            calls.append((len(seqs), C, start, stop))
+            return combo_counts(seqs, C, start, stop, equal_alloc)
+
+        monkeypatch.setattr(search, "_combo_counts", counted)
+        monkeypatch.setattr(search, "_CHUNK", 50)
+        exhaustive_search(
+            BUDGETED, VC, NO_POWER, Objective(w=0.5, criterion=Eoptimal())
         )
-        want_val, _ = brute_force_minimum(space, VC, criterion)
-        assert res.status == "ok"
-        assert res.criterion_value == pytest.approx(want_val, rel=1e-10)
+        want = []
+        for T, C in [(3, 2), (3, 3), (4, 2), (4, 3)]:
+            n = len(enumerate_sequences(T, 3, BUDGETED.restrictions))
+            total = comb(n + C - 1, C)
+            want += [(n, C, start, min(start + 50, total))
+                     for start in range(0, total, 50)]
+        assert calls == want
+
+    def test_combined_power_integrates_only_candidates_below_every_limit(
+        self, monkeypatch
+    ):
+        space = DesignSpace.single(
+            3, 3, 4, 3, (MonotoneNondecreasing(), Identifiable())
+        )
+        spec = PowerSpec(alpha=0.05, beta=0.2, delta=[1.5, 0.75],
+                         power_type="combined")
+        limits = variance_limits(
+            spec.delta, critical_value(spec.alpha, 2, spec.correction),
+            spec.beta,
+        )
+        summaries = [
+            treatment_covariance(d, VC) for d in enumerate_designs(space, VC)
+        ]
+        n_below = sum(
+            bool((np.diag(s.Lambda_q) > limits).all()) for s in summaries
+        )
+        n_meets = sum(
+            power_report(s, spec).meets_requirement for s in summaries
+        )
+        assert len(summaries) == 144 and n_below == 144 - 53
+        calls = []
+        orthant = search.mvn_upper_orthant
+        monkeypatch.setattr(
+            search, "mvn_upper_orthant",
+            lambda *args: calls.append(1) or orthant(*args),
+        )
+        res = exhaustive_search(
+            space, VC, spec, Objective(w=0.0, criterion=Eoptimal())
+        )
+        assert len(calls) == n_below
+        assert res.n_feasible == n_meets == 65
+        assert res.criterion_value == pytest.approx(0.22196, abs=1e-5)
 
     def test_objective_scaling_in_unit_interval(self):
         space = DesignSpace.grid(
@@ -405,6 +472,66 @@ class TestSensitivity:
         assert res.criterion_values[0, 0] == pytest.approx(
             exact.criterion_value
         )
+
+    @pytest.mark.parametrize("w", [0.0, 0.5])
+    @pytest.mark.parametrize("power_type", ["individual", "combined"])
+    def test_grouped_scan_matches_search_at_every_point(self, w, power_type):
+        space = DesignSpace.grid(
+            [3, 4], [2, 3], [2, 3], 3,
+            (MonotoneNondecreasing(), Identifiable()),
+        )
+        spec = PowerSpec(
+            alpha=0.05, beta=0.5, delta=[2.0, 1.5], power_type=power_type
+        )
+        obj = Objective(w=w, criterion=Eoptimal())
+        grid = GridSpec(
+            sigma2_c_range=(0.01, 0.2), sigma2_eps_range=(0.5, 2.0), steps=3
+        )
+        xs, ys = grid.points()
+        vcs = [VarianceComponents(sigma2_c=c, sigma2_eps=e)
+               for c in xs for e in ys]
+        grouped = search._search(space, vcs, spec, obj)
+        sens = sensitivity_map(grid, space, obj, spec)
+        n_feasible = set()
+        for (i, j), vc, got in zip(np.ndindex(3, 3), vcs, grouped):
+            want = exhaustive_search(space, vc, spec, obj)
+            mapped = sens.designs[sens.design_ids[i, j]]
+            for best in (got.best, mapped):
+                assert (best.m, best.C, best.T, best.sequences()) == (
+                    want.best.m, want.best.C, want.best.T,
+                    want.best.sequences(),
+                )
+            for value in (got.criterion_value, sens.criterion_values[i, j]):
+                assert value == pytest.approx(want.criterion_value, rel=1e-9)
+            assert (got.status, got.n_evaluated, got.n_feasible) == (
+                want.status, want.n_evaluated, want.n_feasible
+            )
+            n_feasible.add(want.n_feasible)
+        # The grid moves the feasible set, so the settings differ.
+        assert len(n_feasible) > 1
+
+    def test_maps_scan_a_block_at_most_twice(self, monkeypatch):
+        calls = []
+        combo_counts = search._combo_counts
+
+        def counted(*args):
+            calls.append(args[1:4])
+            return combo_counts(*args)
+
+        def no_search(*args, **kwargs):
+            raise AssertionError("per-point exhaustive_search")
+
+        monkeypatch.setattr(search, "_combo_counts", counted)
+        monkeypatch.setattr(search, "exhaustive_search", no_search)
+        space = small_space(C=4, T=4, m=2, D=2)
+        obj = Objective(w=0.0, criterion=Eoptimal())
+        grid = GridSpec(
+            sigma2_c_range=(0.02, 0.2), sigma2_eps_range=(0.5, 1.5), steps=3
+        )
+        res = sensitivity_map(grid, space, obj, NO_POWER)
+        opt = res.designs[res.design_ids[0, 0]]
+        variance_ratio_map(opt.X, grid, space, obj, NO_POWER, m=2)
+        assert 1 <= len(calls) <= 2
 
     def test_ratio_map_at_least_one_and_exact_at_optimum(self):
         space = small_space(C=4, T=4, m=2, D=2)
