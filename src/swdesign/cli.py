@@ -33,7 +33,7 @@ import numpy as np
 
 from . import analytic as analytic_mod
 from .designspace import CustomPredicate, DesignSpace, restriction_from_name
-from .inference import PowerSpec, power_report
+from .inference import PowerSpec
 from .model import Design, NonIdentifiableError, VarianceComponents
 from .search import (
     CandidateCapExceeded,
@@ -45,7 +45,6 @@ from .search import (
     evaluate_design,
     exhaustive_search,
     sensitivity_map,
-    total_observations,
     variance_ratio_map,
 )
 
@@ -111,10 +110,31 @@ def _required(block: dict, key, path: str = ""):
         raise click.ClickException(f"{name} is required") from None
 
 
+def _section(cfg: dict, key: str, required: bool = False) -> dict:
+    """A JSON-object block of the config, or a one-line error naming it."""
+    block = _required(cfg, key) if required else cfg.get(key) or {}
+    if not isinstance(block, dict):
+        raise click.ClickException(f"{key} must be an object, got {block!r}")
+    return block
+
+
 def _number(value, name: str):
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise click.ClickException(f"{name} must be a number, got {value!r}")
     return value
+
+
+def _int(value, name: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise click.ClickException(f"{name} must be an integer, got {value!r}")
+    return value
+
+
+def _ints(value, name: str) -> tuple:
+    """A JSON integer or list of integers, or a one-line error naming it."""
+    if not isinstance(value, list):
+        return (_int(value, name),)
+    return tuple(_int(v, f"{name}[{i}]") for i, v in enumerate(value))
 
 
 def _build_vc(block: dict) -> VarianceComponents:
@@ -166,8 +186,8 @@ def _build_restrictions(names) -> tuple:
                 CustomPredicate(
                     label=item.get("label", "whitelist"),
                     allowed=tuple(
-                        tuple(int(v) for v in seq)
-                        for seq in item["allowed_sequences"]
+                        _ints(seq, f"{field}.allowed_sequences[{j}]")
+                        for j, seq in enumerate(item["allowed_sequences"])
                     ),
                 )
             )
@@ -178,63 +198,42 @@ def _build_restrictions(names) -> tuple:
     return tuple(out)
 
 
-def _ints(value, name: str) -> tuple:
-    """A JSON integer or list of integers, or a one-line error naming it."""
-    items = value if isinstance(value, list) else [value]
-    for i, v in enumerate(items):
-        if isinstance(v, bool) or not isinstance(v, int):
-            field = f"{name}[{i}]" if isinstance(value, list) else name
-            raise click.ClickException(
-                f"{field} must be an integer, got {v!r}"
-            )
-    return tuple(items)
-
-
 def _build_space(cfg: dict) -> DesignSpace:
-    block = _required(cfg, "space")
-    (D,) = _ints(_required(block, "D", "space"), "space.D")
+    block = _section(cfg, "space", required=True)
+    D = _int(_required(block, "D", "space"), "space.D")
     restrictions = _build_restrictions(block.get("restrictions"))
     T_values = _ints(_required(block, "T", "space"), "space.T")
-    C_block = _required(block, "C", "space")
-    if isinstance(C_block, dict):
-        C_sets = {
-            _ints(int(t) if t.isdigit() else t, "space.C key")[0]:
+    C_values = _required(block, "C", "space")
+    if isinstance(C_values, dict):
+        C_values = {
+            _int(int(t) if t.isdigit() else t, "space.C key"):
                 _ints(cs, f"space.C.{t}")
-            for t, cs in C_block.items()
+            for t, cs in C_values.items()
         }
     else:
-        C_sets = dict.fromkeys(T_values, _ints(C_block, "space.C"))
+        C_values = _ints(C_values, "space.C")
     m_block = _required(block, "m", "space")
-    if isinstance(m_block, dict):
-        (lo,) = _ints(m_block.get("min", 2), "space.m.min")
-        budget = _required(m_block, "budget", "space.m")
-        (budget,) = _ints(budget, "space.m.budget")
-        for T in T_values:
-            if budget // T < lo:
-                raise click.ClickException(
-                    f"budget {budget} admits no m >= {lo} at T={T}"
-                )
-        m_of_T = {T: tuple(range(lo, budget // T + 1)) for T in T_values}
-    else:
-        m_of_T = dict.fromkeys(T_values, _ints(m_block, "space.m"))
-    M_sets = {
-        (C, T): m_of_T[T]
-        for T in T_values
-        for C in _required(C_sets, T, "space.C")
-    }
     try:
-        return DesignSpace(T_values, C_sets, M_sets, restrictions, D)
+        if isinstance(m_block, dict):
+            budget = _required(m_block, "budget", "space.m")
+            return DesignSpace.budgeted(
+                T_values, C_values,
+                _int(m_block.get("min", 2), "space.m.min"),
+                _int(budget, "space.m.budget"), D, restrictions,
+            )
+        return DesignSpace.grid(
+            T_values, C_values, _ints(m_block, "space.m"), D, restrictions
+        )
     except ValueError as exc:
         raise click.ClickException(f"space: {exc}") from None
 
 
-def _build_power(block: dict | None, q: int) -> PowerSpec:
+def _build_power(block: dict, q: int) -> PowerSpec:
     """Power settings for ``q`` treatment effects.
 
     ``delta`` must have ``q`` entries when a power requirement is set
     (``beta < 1``) or a ``delta`` is given at all.
     """
-    block = block or {}
     try:
         spec = PowerSpec(
             alpha=_number(block.get("alpha", 0.05), "power.alpha"),
@@ -253,13 +252,11 @@ def _build_power(block: dict | None, q: int) -> PowerSpec:
     return spec
 
 
-def _build_objective(block: dict | None) -> Objective:
-    block = block or {}
+def _build_objective(block: dict) -> Objective:
     try:
         return Objective(
             w=_number(block.get("w", 0.0), "objective.w"),
             criterion=criterion_from_name(block.get("criterion", "E")),
-            cost_fn=total_observations,
         )
     except ValueError as exc:
         raise click.ClickException(f"objective: {exc}") from None
@@ -272,6 +269,8 @@ def load_config(path) -> dict:
             cfg = json.load(fh)
     except json.JSONDecodeError as exc:
         raise click.ClickException(f"{path}: invalid JSON: {exc}") from None
+    if not isinstance(cfg, dict):
+        raise click.ClickException(f"{path}: the config must be a JSON object")
     version = cfg.get("schema_version")
     if version != SCHEMA_VERSION:
         raise click.ClickException(
@@ -302,8 +301,9 @@ def _dump_json(obj, path) -> None:
         fh.write("\n")
 
 
-def _write_meta(run_dir) -> None:
-    _dump_json({"written_at": time.strftime("%Y-%m-%dT%H:%M:%S%z")},
+def _write_meta(run_dir, **extra) -> None:
+    """Run metadata that results must not depend on: time, worker count."""
+    _dump_json({"written_at": time.strftime("%Y-%m-%dT%H:%M:%S%z"), **extra},
                run_dir / "meta.json")
 
 
@@ -387,27 +387,35 @@ def main():
     """Design and power analysis for multi-arm stepped-wedge trials."""
 
 
+def _design(X, m, D: int, field: str) -> Design:
+    try:
+        return Design(m, X.shape[0], X.shape[1], X, D)
+    except ValueError as exc:
+        raise click.ClickException(f"{field}: {exc}") from None
+
+
 def _common_eval(cfg, design_path, m_override):
-    vc = _build_vc(cfg.get("model", {}))
+    vc = _build_vc(_section(cfg, "model"))
     X = read_design_csv(design_path)
-    D = cfg.get("space", {}).get("D") or int(X.max()) + 1
-    spec = _build_power(cfg.get("power"), int(D) - 1)
-    m = m_override or cfg.get("design", {}).get("m")
+    D = _section(cfg, "space").get("D")
+    D = int(X.max()) + 1 if D is None else _int(D, "space.D")
+    spec = _build_power(_section(cfg, "power"), D - 1)
+    m = m_override or _section(cfg, "design").get("m")
     if m is None:
         raise click.ClickException(
             "measurements per cluster-period not given: add a top-level "
             '"design": {"m": ...} block to the config'
         )
-    design = Design(int(m), X.shape[0], X.shape[1], X, int(D))
-    return design, vc, spec
+    design = _design(X, _int(m, "design.m"), D, "design")
+    return design, vc, spec if spec.q == design.q else None
 
 
 def _comparator_stats(cfg, compare_path, vc, spec, seed, D, m):
     if not compare_path:
         return None
     X = read_design_csv(compare_path)
-    cm = cfg.get("compare", {}).get("m", m)
-    design = Design(int(cm), X.shape[0], X.shape[1], X, D)
+    cm = _int(_section(cfg, "compare").get("m", m), "compare.m")
+    design = _design(X, cm, D, "compare")
     return evaluate_design(design, vc, spec, seed)
 
 
@@ -423,13 +431,11 @@ def evaluate(config_path, design_path, compare_path, m_override, seed, out):
     cfg = load_config(config_path)
     try:
         design, vc, spec = _common_eval(cfg, design_path, m_override)
-        stats = evaluate_design(design, vc, spec if spec.q == design.q else None,
-                                seed)
+        stats = evaluate_design(design, vc, spec, seed)
     except NonIdentifiableError as exc:
         raise click.ClickException(f"design is not identifiable: {exc}")
     compare = _comparator_stats(
-        cfg, compare_path, vc,
-        spec if spec.q == design.q else None, seed, design.D, design.m
+        cfg, compare_path, vc, spec, seed, design.D, design.m
     )
     for line in _report_lines(stats, compare):
         click.echo(line)
@@ -467,14 +473,15 @@ def search(config_path, workers, seed, out, compare_path):
     """Exhaustive admissible-design search."""
     cfg = load_config(config_path)
     workers = _workers_option(workers)
-    vc = _build_vc(cfg.get("model", {}))
+    vc = _build_vc(_section(cfg, "model"))
     space = _build_space(cfg)
-    spec = _build_power(cfg.get("power"), space.D - 1)
-    objective = _build_objective(cfg.get("objective"))
+    spec = _build_power(_section(cfg, "power"), space.D - 1)
+    objective = _build_objective(_section(cfg, "objective"))
+    cap = _int(cfg.get("candidate_cap", 10**8), "candidate_cap")
     try:
         result = exhaustive_search(
             space, vc, spec, objective, workers=workers,
-            candidate_cap=cfg.get("candidate_cap", 10**8), seed=seed,
+            candidate_cap=cap, seed=seed,
         )
     except CandidateCapExceeded as exc:
         raise click.ClickException(str(exc))
@@ -507,11 +514,10 @@ def search(config_path, workers, seed, out, compare_path):
             "n_feasible": result.n_feasible,
             "power": _power_payload(result.power),
             "seed": seed,
-            "workers": workers,
         },
         run_dir / "result.json",
     )
-    _write_meta(run_dir)
+    _write_meta(run_dir, workers=workers)
     if result.status == "no-admissible-design":
         click.echo(
             "no design meets the power requirement; the reported design is "
@@ -527,25 +533,28 @@ def search(config_path, workers, seed, out, compare_path):
 def ce_search(config_path, seed, out):
     """Cross-entropy stochastic search at fixed (m, C, T)."""
     cfg = load_config(config_path)
-    vc = _build_vc(cfg.get("model", {}))
+    vc = _build_vc(_section(cfg, "model"))
     space = _build_space(cfg)
-    spec = _build_power(cfg.get("power"), space.D - 1)
-    objective = _build_objective(cfg.get("objective"))
+    spec = _build_power(_section(cfg, "power"), space.D - 1)
+    objective = _build_objective(_section(cfg, "objective"))
     blocks = list(space.blocks())
     if len(blocks) != 1:
         raise click.ClickException(
             "ce-search requires a single (m, C, T) combination in the space"
         )
     T, C, m = blocks[0]
-    ce_cfg = cfg.get("ce", {})
-    params = CEParams(
-        population_size=ce_cfg.get("population_size", 1000),
-        elite_fraction=ce_cfg.get("elite_fraction", 0.1),
-        smoothing=ce_cfg.get("smoothing", 0.7),
-        max_iterations=ce_cfg.get("max_iterations", 200),
-        stall_limit=ce_cfg.get("stall_limit", 20),
-        seed=seed if seed is not None else ce_cfg.get("seed", 0),
-    )
+    fields = {
+        key: (_number if key in ("elite_fraction", "smoothing") else _int)(
+            value, f"ce.{key}")
+        for key, value in _section(cfg, "ce").items()
+    }
+    if seed is not None:
+        fields["seed"] = seed
+    try:
+        params = CEParams(**fields)
+    except (TypeError, ValueError) as exc:
+        # TypeError: a key that is not a CEParams field.
+        raise click.ClickException(f"ce: {exc}") from None
     result = cross_entropy_search(
         C, T, m, space.D, space.restrictions, vc, objective, spec, params
     )
@@ -588,16 +597,35 @@ def sensitivity(config_path, design_path, workers, seed, out):
     cfg = load_config(config_path)
     workers = _workers_option(workers)
     space = _build_space(cfg)
-    spec = _build_power(cfg.get("power"), space.D - 1)
-    objective = _build_objective(cfg.get("objective"))
-    g = cfg.get("sensitivity", {})
-    grid = GridSpec(
-        sigma2_c_range=tuple(g.get("sigma2_c_range", (0.001, 0.25))),
-        sigma2_eps_range=tuple(g.get("sigma2_eps_range", (0.25, 4.0))),
-        steps=_ints(g.get("steps", 26), "sensitivity.steps")[0],
-    )
-    result = sensitivity_map(grid, space, objective, spec,
-                             workers=workers, seed=seed)
+    spec = _build_power(_section(cfg, "power"), space.D - 1)
+    objective = _build_objective(_section(cfg, "objective"))
+    g = _section(cfg, "sensitivity")
+
+    def pair(key, default):
+        value = g.get(key, default)
+        if not isinstance(value, list) or len(value) != 2:
+            raise click.ClickException(
+                f"sensitivity.{key} must be a [low, high] pair, got {value!r}"
+            )
+        return tuple(_number(v, f"sensitivity.{key}[{i}]")
+                     for i, v in enumerate(value))
+
+    m = _section(cfg, "design").get("m")
+    m = None if m is None else _int(m, "design.m")
+    X = read_design_csv(design_path) if design_path else None
+    try:
+        grid = GridSpec(
+            sigma2_c_range=pair("sigma2_c_range", [0.001, 0.25]),
+            sigma2_eps_range=pair("sigma2_eps_range", [0.25, 4.0]),
+            steps=_int(g.get("steps", 26), "sensitivity.steps"),
+        )
+        result = sensitivity_map(grid, space, objective, spec,
+                                 workers=workers, seed=seed)
+        if X is not None:
+            ratios = variance_ratio_map(X, grid, space, objective, spec,
+                                        m=m, workers=workers, seed=seed)
+    except ValueError as exc:
+        raise click.ClickException(f"sensitivity: {exc}") from None
     run_dir = _run_dir(out, config_path, "sensitivity")
     with open(run_dir / "grid.csv", "w", encoding="utf-8", newline="\n") as fh:
         fh.write("sigma2_c,sigma2_eps,design_id,criterion_value\n")
@@ -612,12 +640,7 @@ def sensitivity(config_path, design_path, workers, seed, out):
         did: _design_payload(d) for did, d in result.designs.items()
     }
     payload = {"designs": designs_payload, "seed": seed}
-    if design_path:
-        X = read_design_csv(design_path)
-        ratios = variance_ratio_map(
-            X, grid, space, objective, spec,
-            m=cfg.get("design", {}).get("m"), workers=workers, seed=seed,
-        )
+    if X is not None:
         with open(run_dir / "ratio.csv", "w", encoding="utf-8",
                   newline="\n") as fh:
             fh.write("sigma2_c,sigma2_eps,variance_ratio\n")
@@ -630,7 +653,7 @@ def sensitivity(config_path, design_path, workers, seed, out):
         payload["ratio_design"] = X.tolist()
     _dump_json(cfg, run_dir / "config.json")
     _dump_json(payload, run_dir / "result.json")
-    _write_meta(run_dir)
+    _write_meta(run_dir, workers=workers)
     click.echo(
         f"{len(result.designs)} distinct optimal designs over "
         f"{result.design_ids.size} grid points"
@@ -644,8 +667,8 @@ def sensitivity(config_path, design_path, workers, seed, out):
 def analytic(config_path, design_path, out):
     """Closed-form design quantities."""
     cfg = load_config(config_path)
-    block = cfg.get("analytic")
-    if not block or "op" not in block:
+    block = _section(cfg, "analytic")
+    if "op" not in block:
         raise click.ClickException('config needs an "analytic" block with "op"')
     op = block["op"]
 

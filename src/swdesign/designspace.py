@@ -17,6 +17,7 @@ one representative is visited.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass, field
 from math import comb
 
@@ -34,6 +35,7 @@ __all__ = [
     "CustomPredicate",
     "restriction_from_name",
     "DesignSpace",
+    "equal_allocation",
     "enumerate_sequences",
     "enumerate_designs",
     "check_restrictions",
@@ -85,10 +87,7 @@ class EqualSequenceAllocation(Restriction):
     name: str = field(default="equal-allocation", init=False)
 
     def matrix_ok(self, X) -> bool:
-        counts = {}
-        for row in map(tuple, X):
-            counts[row] = counts.get(row, 0) + 1
-        return len(set(counts.values())) == 1
+        return bool(equal_allocation(list(Counter(map(tuple, X)).values())))
 
 
 @dataclass(frozen=True)
@@ -122,6 +121,18 @@ class CustomPredicate(Restriction):
 
     def row_ok(self, row, D: int) -> bool:
         return tuple(row) in self.allowed
+
+
+def equal_allocation(counts) -> np.ndarray:
+    """Mask of the count vectors (last axis) whose nonzero entries are equal.
+
+    Entry ``s`` of a count vector is the multiplicity of sequence ``s`` in
+    one allocation matrix; :class:`EqualSequenceAllocation` admits the
+    matrix when every sequence it uses appears equally often.
+    """
+    counts = np.asarray(counts)
+    top = counts.max(axis=-1, keepdims=True)
+    return ((counts == top) | (counts == 0)).all(axis=-1)
 
 
 _NAMED = {
@@ -196,55 +207,54 @@ class DesignSpace:
         cls, C: int, T: int, m, D: int, restrictions
     ) -> "DesignSpace":
         """Space with fixed ``C`` and ``T`` and one or more values of ``m``."""
-        ms = tuple(m) if np.iterable(m) else (m,)
-        return cls(
-            T_set=(T,),
-            C_sets={T: (C,)},
-            M_sets={(C, T): ms},
-            restrictions=tuple(restrictions),
-            D=D,
-        )
+        ms = m if np.iterable(m) else (m,)
+        return cls.grid((T,), (C,), ms, D, restrictions)
 
     @classmethod
     def grid(
         cls, T_values, C_values, m_values, D: int, restrictions
     ) -> "DesignSpace":
-        """Cartesian space: every combination of the given T, C and m."""
-        T_values = tuple(sorted(T_values))
-        C_values = tuple(sorted(C_values))
-        m_values = tuple(sorted(m_values))
-        return cls(
-            T_set=T_values,
-            C_sets={T: C_values for T in T_values},
-            M_sets={(C, T): m_values for T in T_values for C in C_values},
-            restrictions=tuple(restrictions),
-            D=D,
-        )
+        """Every combination of the given T, C and m.
+
+        ``C_values`` is a list shared by every T or a ``{T: [C...]}`` map.
+        """
+        ms = tuple(sorted(m_values))
+        return cls._product(T_values, C_values, lambda T: ms, D, restrictions)
 
     @classmethod
     def budgeted(
         cls, T_values, C_values, m_min: int, budget: int, D: int, restrictions
     ) -> "DesignSpace":
-        """Cartesian in T and C with ``m`` ranging to ``floor(budget / T)``.
+        """Every T and C, with ``m`` ranging to ``floor(budget / T)``.
 
         Mirrors a per-cluster observation budget: each cluster contributes
         ``m * T`` observations, so larger ``T`` admits smaller ``m``.
+        ``C_values`` is a list or a ``{T: [C...]}`` map, as in :meth:`grid`.
         """
-        T_values = tuple(sorted(T_values))
-        C_values = tuple(sorted(C_values))
-        M_sets = {}
-        for T in T_values:
-            top = budget // T
-            if top < m_min:
+        for T in sorted(T_values):
+            if T < 2:
+                raise ValueError("all T must be >= 2")
+            if budget // T < m_min:
                 raise ValueError(
                     f"budget {budget} admits no m >= {m_min} at T={T}"
                 )
-            for C in C_values:
-                M_sets[(C, T)] = tuple(range(m_min, top + 1))
+        return cls._product(
+            T_values, C_values,
+            lambda T: tuple(range(m_min, budget // T + 1)), D, restrictions,
+        )
+
+    @classmethod
+    def _product(cls, T_values, C_values, m_of_T, D, restrictions):
+        """Every T, its C values (list or map) and ``m_of_T(T)``."""
+        T_values = tuple(sorted(T_values))
+        if not isinstance(C_values, dict):
+            C_values = dict.fromkeys(T_values, C_values)
+        C_sets = {T: tuple(sorted(Cs)) for T, Cs in C_values.items()}
         return cls(
             T_set=T_values,
-            C_sets={T: C_values for T in T_values},
-            M_sets=M_sets,
+            C_sets=C_sets,
+            M_sets={(C, T): m_of_T(T)
+                    for T in T_values for C in C_sets.get(T, ())},
             restrictions=tuple(restrictions),
             D=D,
         )
@@ -255,9 +265,6 @@ class DesignSpace:
             for C in sorted(self.C_sets[T]):
                 for m in sorted(self.M_sets[(C, T)]):
                     yield T, C, m
-
-    def row_restrictions(self) -> tuple[Restriction, ...]:
-        return tuple(r for r in self.restrictions if hasattr(r, "row_ok"))
 
     def requires_identifiable(self) -> bool:
         return any(isinstance(r, Identifiable) for r in self.restrictions)
@@ -332,12 +339,8 @@ def enumerate_designs(space: DesignSpace, vc: VarianceComponents):
         if not seqs:
             continue
         for combo in itertools.combinations_with_replacement(seqs, C):
-            if equal_alloc:
-                counts = {}
-                for s in combo:
-                    counts[s] = counts.get(s, 0) + 1
-                if len(set(counts.values())) != 1:
-                    continue
+            if equal_alloc and not EqualSequenceAllocation().matrix_ok(combo):
+                continue
             design = Design(m, C, T, np.array(combo, dtype=int), space.D)
             if check_ident and not is_identifiable(design, vc):
                 continue

@@ -33,7 +33,7 @@ from math import comb
 
 import numpy as np
 
-from .designspace import DesignSpace, enumerate_sequences
+from .designspace import DesignSpace, enumerate_sequences, equal_allocation
 from .inference import (
     PowerReport,
     PowerSpec,
@@ -85,11 +85,6 @@ _CHUNK = 200_000
 _TIE_RTOL = 1e-9
 
 
-def _tie_close(x: float, y: float) -> bool:
-    """Whether two nonnegative champion values count as a tie."""
-    return abs(x - y) <= _TIE_RTOL * max(abs(x), abs(y))
-
-
 class CandidateCapExceeded(RuntimeError):
     """The exhaustive space exceeds the candidate budget.
 
@@ -106,10 +101,8 @@ class Criterion:
 
     name: str = ""
 
-    def value(self, Lambda_q: np.ndarray) -> float:
-        raise NotImplementedError
-
     def batch(self, Lambda_q: np.ndarray, diag: np.ndarray) -> np.ndarray:
+        """Values of a ``k x q x q`` stack with its ``k x q`` diagonals."""
         raise NotImplementedError
 
 
@@ -118,9 +111,6 @@ class Doptimal(Criterion):
     """Minimize ``det(Lambda_q)``."""
 
     name: str = field(default="D", init=False)
-
-    def value(self, Lambda_q):
-        return float(np.linalg.det(Lambda_q))
 
     def batch(self, Lambda_q, diag):
         return np.linalg.det(Lambda_q)
@@ -132,9 +122,6 @@ class Aoptimal(Criterion):
 
     name: str = field(default="A", init=False)
 
-    def value(self, Lambda_q):
-        return float(np.trace(Lambda_q) / Lambda_q.shape[0])
-
     def batch(self, Lambda_q, diag):
         return diag.mean(axis=1)
 
@@ -144,9 +131,6 @@ class Eoptimal(Criterion):
     """Minimize the largest diagonal entry of ``Lambda_q``."""
 
     name: str = field(default="E", init=False)
-
-    def value(self, Lambda_q):
-        return float(np.diag(Lambda_q).max())
 
     def batch(self, Lambda_q, diag):
         return diag.max(axis=1)
@@ -158,7 +142,7 @@ _CRITERIA = {"D": Doptimal, "A": Aoptimal, "E": Eoptimal}
 def criterion_from_name(name: str) -> Criterion:
     """Look up a criterion by its one-letter name."""
     try:
-        return _CRITERIA[name.upper()]()
+        return _CRITERIA[str(name).upper()]()
     except KeyError:
         raise ValueError(
             f"unknown criterion {name!r}; expected one of D, A, E"
@@ -178,26 +162,24 @@ class Objective:
     ----------
     w : float
         Cost weight in [0, 1]; ``w = 0`` optimizes the criterion alone.
-        ``w = 1`` ignores the criterion entirely and is rarely useful; it is
-        permitted with a warning.
+        ``w = 1`` optimizes the cost, the total number of observations
+        (:func:`total_observations`), and uses the criterion only to choose
+        among the cheapest power-feasible designs; it is permitted with a
+        warning.
     criterion : Criterion
         D-, A- or E-optimality.
-    cost_fn : callable
-        Cost function over designs.  Must depend on the design only through
-        ``(m, C, T)``; only :func:`total_observations` ships.
     """
 
     w: float
     criterion: Criterion
-    cost_fn: object = total_observations
 
     def __post_init__(self):
         if not 0 <= self.w <= 1:
             raise ValueError(f"w must lie in [0, 1], got {self.w}")
         if self.w == 1:
             warnings.warn(
-                "w = 1 ignores the optimality criterion entirely; the result "
-                "is simply a cheapest power-feasible design",
+                "w = 1 gives the criterion no weight; the result is the "
+                "best-criterion design among the cheapest power-feasible ones",
                 stacklevel=3,
             )
 
@@ -274,7 +256,7 @@ def criterion_value(summary: CovarianceSummary, criterion: Criterion) -> float:
     vals = np.linalg.eigvalsh(0.5 * (Lambda_q + Lambda_q.T))
     if vals[0] <= 0:
         raise ValueError("Lambda_q must be symmetric positive definite")
-    return criterion.value(Lambda_q)
+    return float(criterion.batch(Lambda_q[None], np.diag(Lambda_q)[None])[0])
 
 
 def evaluate_design(
@@ -320,10 +302,7 @@ def _combo_counts(
         itertools.chain.from_iterable(combos), dtype=np.int64
     ).reshape(-1, C)
     counts = _row_counts(idx, len(seqs))
-    if equal_alloc:
-        mx = counts.max(axis=1, keepdims=True)
-        counts = counts[((counts == mx) | (counts == 0)).all(axis=1)]
-    return counts
+    return counts[equal_allocation(counts)] if equal_alloc else counts
 
 
 def _row_counts(idx: np.ndarray, n: int) -> np.ndarray:
@@ -340,6 +319,13 @@ def _counts_to_rows(counts_row: np.ndarray, seqs: list) -> tuple:
     for s, c in zip(seqs, counts_row):
         rows.extend([tuple(s)] * int(round(c)))
     return tuple(rows)
+
+
+def _check_delta(spec: PowerSpec, D: int) -> None:
+    if spec.beta < 1 and spec.q != D - 1:
+        raise ValueError(
+            f"delta has length {spec.q} but the space has q={D - 1}"
+        )
 
 
 def _power_feasible(
@@ -371,14 +357,27 @@ def _power_feasible(
     return feasible
 
 
+def _score(sums, T: int, m: int, vc, criterion, spec, seed: int):
+    """``(ident, crit, feasible)`` of candidates from their kernel sums.
+
+    ``ident`` masks the identifiable candidates; ``crit`` and ``feasible``
+    (:func:`_power_feasible`) cover those candidates only.
+    """
+    ident, Lambda = covariance_kernel(sums, T, m, vc)
+    diag = np.diagonal(Lambda, axis1=1, axis2=2)
+    return (ident, criterion.batch(Lambda, diag),
+            _power_feasible(Lambda, diag, spec, seed))
+
+
 def _scan_chunk(job: dict) -> list:
     """Records of one chunk of a ``(T, C)`` block at every search setting.
 
     The chunk is enumerated and reduced to its kernel sums once.  Per ``vc``
-    and ``(m, cost)`` the record is ``(n_evaluated, n_feasible, extrema,
-    champion, unconstrained)``: the cost and criterion range over
-    identifiable candidates, the feasible champion (minimal criterion, or
-    first in the stream when ``tie_mode='lex'``) and the unconstrained one.
+    and ``m`` the record is ``(n_evaluated, n_feasible, extrema, champion,
+    unconstrained)``: the cost and criterion range over identifiable
+    candidates, and the feasible and the unconstrained champions.  A
+    champion is the first candidate in the stream, which is in lexicographic
+    order of canonical rows, within ``_TIE_RTOL`` of the minimal criterion.
     """
     seqs, C, T = job["seqs"], job["C"], job["T"]
     counts = _combo_counts(
@@ -386,39 +385,33 @@ def _scan_chunk(job: dict) -> list:
     )
     sums = kernel_sums(counts, sequence_contributions(seqs, T, job["D"]))
 
-    def record(vc, m, cost):
-        ident, Lambda = covariance_kernel(sums, T, m, vc)
-        if not ident.any():
+    def record(vc, m):
+        ident, crit, feasible = _score(
+            sums, T, m, vc, job["criterion"], job["spec"], job["seed"]
+        )
+        if not crit.size:
             return counts.shape[0], 0, None, None, None
+        cost = float(m * C * T)
         rows_of = np.nonzero(ident)[0]
-        diag = np.diagonal(Lambda, axis1=1, axis2=2)
-        crit = job["criterion"].batch(Lambda, diag)
-        feasible = _power_feasible(Lambda, diag, job["spec"], job["seed"])
 
-        def rows(j):
-            return _counts_to_rows(counts[rows_of[j]], seqs)
-
-        def pick(mask, by_crit):
+        def pick(mask):
             if not mask.any():
                 return None
-            if by_crit:
-                vals = np.where(mask, crit, np.inf)
-                cmin = float(vals.min())
-                tied = np.nonzero(vals <= cmin + _TIE_RTOL * cmin)[0]
-                j = min((int(t) for t in tied), key=rows)
-            else:
-                j = int(np.nonzero(mask)[0][0])
-            return (float(crit[j]), cost, (m, C, T), rows(j))
+            vals = np.where(mask, crit, np.inf)
+            cmin = float(vals.min())
+            j = int(np.argmax(vals <= cmin + _TIE_RTOL * cmin))
+            rows = _counts_to_rows(counts[rows_of[j]], seqs)
+            return (float(crit[j]), cost, (m, C, T), rows)
 
         return (
             counts.shape[0],
             int(feasible.sum()),
             (cost, float(crit.min()), float(crit.max())),
-            pick(feasible, job["tie_mode"] == "crit"),
-            pick(np.ones(crit.shape[0], dtype=bool), True),
+            pick(feasible),
+            pick(np.ones(crit.shape, dtype=bool)),
         )
 
-    return [[record(vc, m, cost) for m, cost in job["ms"]] for vc in job["vcs"]]
+    return [[record(vc, m) for m in job["ms"]] for vc in job["vcs"]]
 
 
 def _better(a, b):
@@ -432,11 +425,22 @@ def _better(a, b):
         return b
     if b is None:
         return a
-    if not _tie_close(a[0], b[0]):
+    if abs(a[0] - b[0]) > _TIE_RTOL * max(abs(a[0]), abs(b[0])):
         return a if a[0] < b[0] else b
     if a[1] != b[1]:
         return a if a[1] < b[1] else b
     return a if a[3] <= b[3] else b
+
+
+def _outcome(record, vc, D: int, spec, seed: int, **fields) -> SearchResult:
+    """Result for a champion ``record = (crit, cost, (m, C, T), rows)``."""
+    crit, cost, (m, C, T), rows = record
+    design = Design(m, C, T, np.array(rows, dtype=int), D)
+    power = None
+    if spec.delta.size == D - 1:
+        power = power_report(treatment_covariance(design, vc), spec, seed)
+    return SearchResult(best=design, criterion_value=crit, cost=cost,
+                        power=power, **fields)
 
 
 def _result(records, vc, space, spec, objective, seed) -> SearchResult:
@@ -476,21 +480,10 @@ def _result(records, vc, space, spec, objective, seed) -> SearchResult:
         nan = float("nan")
         return SearchResult(None, nan, nan, nan, None, scaling, n_evaluated,
                             0, status)
-    crit, cost, (m, C, T), rows = record
-    design = Design(m, C, T, np.array(rows, dtype=int), space.D)
-    power = None
-    if spec.delta.size == space.D - 1:
-        power = power_report(treatment_covariance(design, vc), spec, seed)
-    return SearchResult(
-        best=design,
-        criterion_value=crit,
-        cost=cost,
-        objective_value=scaled_objective(cost, crit),
-        power=power,
-        scaling=scaling,
-        n_evaluated=n_evaluated,
-        n_feasible=n_feasible,
-        status=status,
+    return _outcome(
+        record, vc, space.D, spec, seed, status=status, scaling=scaling,
+        objective_value=scaled_objective(record[1], record[0]),
+        n_evaluated=n_evaluated, n_feasible=n_feasible,
     )
 
 
@@ -513,7 +506,6 @@ def _search(
     common = dict(
         D=space.D, vcs=vcs, equal_alloc=space.requires_equal_allocation(),
         criterion=objective.criterion, spec=spec, seed=seed,
-        tie_mode="lex" if objective.w == 1 else "crit",
     )
     jobs = []
     total = 0
@@ -524,12 +516,9 @@ def _search(
             continue
         n_combos = comb(len(seqs) + C - 1, C)
         total += n_combos * len(ms)
-        block = dict(common, seqs=seqs, C=C, T=T, ms=[
-            (m, objective.cost_fn(Design(m, C, T, np.zeros((C, T)), space.D)))
-            for m in ms
-        ])
         jobs += [
-            dict(block, start=start, stop=min(start + _CHUNK, n_combos))
+            dict(common, seqs=seqs, C=C, T=T, ms=ms, start=start,
+                 stop=min(start + _CHUNK, n_combos))
             for start in range(0, n_combos, _CHUNK)
         ]
     if total > candidate_cap:
@@ -538,10 +527,7 @@ def _search(
             f"{candidate_cap}; use the cross-entropy search for spaces of "
             "this size"
         )
-    if spec.beta < 1 and spec.q != space.D - 1:
-        raise ValueError(
-            f"delta has length {spec.q} but the space has q={space.D - 1}"
-        )
+    _check_delta(spec, space.D)
 
     records = [[] for _ in vcs]
 
@@ -658,27 +644,24 @@ def cross_entropy_search(
     power-feasible samples by raw criterion value and refits the
     categoricals toward the elite frequencies with exponential smoothing.
     No cost rescaling is applied: with the size fixed, every candidate has
-    the same cost.  Deterministic for a fixed ``params.seed``.
+    the same cost.  Under the equal-allocation restriction samples that
+    break it never score.  Deterministic for a fixed ``params.seed``.
     """
     params = params or CEParams()
-    seqs = enumerate_sequences(T, D, restrictions)
+    space = DesignSpace.single(C, T, m, D, restrictions)
+    seqs = enumerate_sequences(T, D, space.restrictions)
     if not seqs:
         raise SearchFailure(
             "the restrictions admit no sequences at this (T, D)"
         )
     n = len(seqs)
-    q = D - 1
-    if spec.beta < 1 and spec.q != q:
-        raise ValueError(
-            f"delta has length {spec.q} but the space has q={q}"
-        )
+    _check_delta(spec, D)
     contributions = sequence_contributions(seqs, T, D)
     rng = np.random.default_rng(params.seed)
     probs = np.full((C, n), 1.0 / n)
     n_elite = max(1, int(round(params.elite_fraction * params.population_size)))
 
     best = None  # (crit, canonical rows)
-    sampled_identifiable = False
     best_unconstrained = None
     stall = 0
     n_evaluated = 0
@@ -688,21 +671,17 @@ def cross_entropy_search(
         idx = _draw_rows(probs, u)
         n_evaluated += params.population_size
         counts = _row_counts(idx, n)
-        ident, Lambda = covariance_kernel(
-            kernel_sums(counts, contributions), T, m, vc
+        ident, crit, feasible = _score(
+            kernel_sums(counts, contributions), T, m, vc,
+            objective.criterion, spec, params.seed,
         )
-        score = np.full(params.population_size, np.inf)
-        if ident.any():
-            sampled_identifiable = True
-            diag = np.diagonal(Lambda, axis1=1, axis2=2)
-            crit = objective.criterion.batch(Lambda, diag)
-            raw = np.full(params.population_size, np.inf)
-            raw[ident] = crit
-            feasible = np.zeros_like(ident)
-            feasible[ident] = _power_feasible(
-                Lambda, diag, spec, params.seed
-            )
-            score[feasible] = raw[feasible]
+        raw = np.full(params.population_size, np.inf)
+        raw[ident] = crit
+        if space.requires_equal_allocation():
+            raw[~equal_allocation(counts)] = np.inf
+        score = raw.copy()
+        score[ident] = np.where(feasible, score[ident], np.inf)
+        if np.isfinite(raw).any():
             un_j = int(np.argmin(raw))
             cand = (float(raw[un_j]), _counts_to_rows(counts[un_j], seqs))
             if best_unconstrained is None or cand < best_unconstrained:
@@ -726,33 +705,18 @@ def cross_entropy_search(
         if stall >= params.stall_limit:
             break
 
-    if best is None and not sampled_identifiable:
+    if best_unconstrained is None:
         raise SearchFailure(
-            "no identifiable candidate was ever sampled; increase the "
-            "population size"
+            "no admissible identifiable candidate was ever sampled; "
+            "increase the population size"
         )
 
-    record = best if best is not None else best_unconstrained
-    status = "ok" if best is not None else "no-admissible-design"
-    design = Design(m, C, T, np.array(record[1], dtype=int), D)
-    summary = treatment_covariance(design, vc)
-    power = (
-        power_report(summary, spec, params.seed)
-        if spec.delta.size == q
-        else None
-    )
-    return SearchResult(
-        best=design,
-        criterion_value=record[0]
-        if status == "ok"
-        else criterion_value(summary, objective.criterion),
-        cost=objective.cost_fn(design),
-        objective_value=record[0],
-        power=power,
-        scaling={},
-        n_evaluated=n_evaluated,
+    crit, rows = best if best is not None else best_unconstrained
+    return _outcome(
+        (crit, float(m * C * T), (m, C, T), rows), vc, D, spec, params.seed,
+        status="ok" if best is not None else "no-admissible-design",
+        objective_value=crit, scaling={}, n_evaluated=n_evaluated,
         n_feasible=-1,
-        status=status,
     )
 
 
@@ -768,6 +732,10 @@ class GridSpec:
     sigma2_c_range: tuple[float, float] = (0.001, 0.25)
     sigma2_eps_range: tuple[float, float] = (0.25, 4.0)
     steps: int = 26
+
+    def __post_init__(self):
+        if self.steps < 1:
+            raise ValueError(f"steps must be >= 1, got {self.steps}")
 
     def points(self):
         xs = np.linspace(*self.sigma2_c_range, self.steps)
@@ -858,7 +826,10 @@ def variance_ratio_map(
     """
     X = np.asarray(X, dtype=int)
     if m is None:
-        m = sorted(space.M_sets[(X.shape[0], X.shape[1])])[0]
+        if X.shape not in space.M_sets:
+            raise ValueError(f"the design's (C, T) = {X.shape} is not in "
+                             "the space, so its m must be given")
+        m = min(space.M_sets[X.shape])
     fixed = Design(m, X.shape[0], X.shape[1], X, space.D)
     sens = sensitivity_map(
         grid, space, objective, spec, workers=workers, seed=seed

@@ -193,6 +193,84 @@ class TestConfigErrors:
             "Error: sensitivity.steps must be an integer, got '5'"
         ]
 
+    @pytest.mark.parametrize(
+        "command,edit,rows,expected",
+        [
+            ("ce-search", lambda c: c["ce"].update(population_size="x"),
+             None, "ce.population_size must be an integer, got 'x'"),
+            ("ce-search", lambda c: c["ce"].update(population_size=0),
+             None, "ce: population_size must be positive"),
+            ("ce-search", lambda c: c["ce"].update(elite_fraction=2),
+             None, "ce: elite_fraction must lie in (0, 1)"),
+            ("ce-search", lambda c: c["ce"].update(population=20),
+             None, "unexpected keyword argument 'population'"),
+            ("search", lambda c: c["objective"].update(criterion=3),
+             None, "objective: unknown criterion 3"),
+            ("search", lambda c: c.update(candidate_cap="x"),
+             None, "candidate_cap must be an integer, got 'x'"),
+            ("sensitivity", lambda c: c["sensitivity"].update(
+                sigma2_c_range=5),
+             None, "sensitivity.sigma2_c_range must be a [low, high] pair"),
+            ("sensitivity", lambda c: c["sensitivity"].update(steps=-1),
+             None, "sensitivity: steps must be >= 1, got -1"),
+            ("sensitivity", lambda c: c["sensitivity"].update(steps=0),
+             None, "sensitivity: steps must be >= 1, got 0"),
+            ("evaluate", lambda c: c["design"].update(m="x"),
+             ("001", "011", "111"), "design.m must be an integer, got 'x'"),
+            ("evaluate", lambda c: c["design"].update(m=1),
+             ("001", "011", "111"), "design: m must be >= 2, got 1"),
+            ("evaluate", lambda c: c.update(compare={"m": "x"}),
+             ("001", "011", "111"), "compare.m must be an integer, got 'x'"),
+            ("evaluate", lambda c: None,
+             ("012", "002", "011"), "design: X entries must lie in [0, 1]"),
+            ("search", lambda c: c.update(space=[1, 2]),
+             None, "space must be an object, got [1, 2]"),
+            ("search", lambda c: c.update(model=[1]),
+             None, "model must be an object, got [1]"),
+            ("search", lambda c: c["space"]["restrictions"].append(
+                {"allowed_sequences": [[0, 0, 1], [0, "a", 1]]}),
+             None, "space.restrictions[2].allowed_sequences[1][1] must be an "
+             "integer, got 'a'"),
+            ("sensitivity", lambda c: c.pop("design"),
+             ("0011", "0111"), "sensitivity: the design's (C, T) = (2, 4) is "
+             "not in the space"),
+        ],
+        ids=["ce-population-type", "ce-population-zero", "ce-elite",
+             "ce-unknown-key", "criterion", "candidate-cap", "sigma2-range",
+             "steps-negative",
+             "steps-zero", "design-m-type", "design-m-small", "compare-m",
+             "labels-above-D", "space-list", "model-list", "whitelist-label",
+             "ratio-design-outside-space"],
+    )
+    def test_one_line_error(self, runner, tmp_path, command, edit, rows,
+                            expected):
+        cfg = {
+            "schema_version": 1,
+            "model": {"rho": 0.05},
+            "space": {
+                "D": 2, "T": 3, "C": 3, "m": 2,
+                "restrictions": ["monotone", "identifiable"],
+            },
+            "objective": {"w": 0.0, "criterion": "E"},
+            "design": {"m": 2},
+            "sensitivity": {"steps": 2},
+            "ce": {"population_size": 20, "max_iterations": 2},
+        }
+        edit(cfg)
+        args = [command, "--config", write_json(tmp_path / "cfg.json", cfg),
+                "--out", str(tmp_path / "r")]
+        if rows is not None:
+            write_design_csv(X(*rows), tmp_path / "d.csv")
+            args += ["--design", str(tmp_path / "d.csv")]
+            if command == "evaluate":
+                args += ["--compare", str(tmp_path / "d.csv")]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        lines = result.output.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("Error: ")
+        assert expected in lines[0]
+
     def test_space_value_out_of_range(self, runner, tmp_path):
         line = self.run_search(
             runner, tmp_path, lambda cfg: cfg["space"].update(C=[1, 3])
@@ -372,6 +450,35 @@ class TestSearch:
         assert payload["status"] == "no-admissible-design"
         assert payload["best"] is not None
 
+    def test_cluster_counts_per_period_count(self, runner, tmp_path):
+        cfg = {
+            "schema_version": 1,
+            "model": {"rho": 0.05},
+            "space": {
+                "D": 2, "T": [3, 4], "C": {"3": [2, 3], "4": [4]},
+                "m": {"min": 2, "budget": 9},
+                "restrictions": ["monotone", "identifiable"],
+            },
+        }
+        out = tmp_path / "crun"
+        result = runner.invoke(
+            main, ["search", "--config", write_json(tmp_path / "c.json", cfg),
+                   "--out", str(out)],
+        )
+        assert result.exit_code == 0, result.output
+        space = swdesign.DesignSpace.budgeted(
+            [3, 4], {3: [2, 3], 4: [4]}, 2, 9, 2,
+            (swdesign.MonotoneNondecreasing(), swdesign.Identifiable()),
+        )
+        want = swdesign.exhaustive_search(
+            space, swdesign.VarianceComponents.from_rho(1.0, 0.05),
+            swdesign.PowerSpec(alpha=0.05, beta=1.0, delta=[]),
+            swdesign.Objective(w=0.0, criterion=swdesign.Eoptimal()),
+        )
+        payload = json.loads((out / "result.json").read_text())
+        assert payload["n_evaluated"] == want.n_evaluated
+        assert payload["best"]["X"] == want.best.X.tolist()
+
     def test_workers_env_override(self, runner, tmp_path, monkeypatch):
         monkeypatch.setenv("SWDESIGN_WORKERS", "2")
         cfg = self.search_config(tmp_path)
@@ -380,8 +487,23 @@ class TestSearch:
             main, ["search", "--config", cfg, "--out", str(out)]
         )
         assert result.exit_code == 0, result.output
-        payload = json.loads((out / "result.json").read_text())
+        payload = json.loads((out / "meta.json").read_text())
         assert payload["workers"] == 2
+
+    def test_result_independent_of_workers(self, runner, tmp_path):
+        cfg = self.search_config(tmp_path)
+        results = []
+        for workers in ("1", "2"):
+            out = tmp_path / f"w{workers}"
+            result = runner.invoke(
+                main, ["search", "--config", cfg, "--workers", workers,
+                       "--out", str(out)],
+            )
+            assert result.exit_code == 0, result.output
+            results.append((out / "result.json").read_bytes())
+            meta = json.loads((out / "meta.json").read_text())
+            assert meta["workers"] == int(workers)
+        assert results[0] == results[1]
 
 
 class TestCeSearch:

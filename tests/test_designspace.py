@@ -135,6 +135,21 @@ class TestDesignSpace:
         with pytest.raises(ValueError, match="admits no m"):
             DesignSpace.budgeted([10], [2], 2, 15, 2, ())
 
+    def test_cluster_counts_per_period_count(self):
+        C_map = {4: [3, 2], 5: [4]}
+        sp = DesignSpace.grid([5, 4], C_map, [3, 2], 2, ())
+        assert list(sp.blocks()) == [
+            (4, 2, 2), (4, 2, 3), (4, 3, 2), (4, 3, 3), (5, 4, 2), (5, 4, 3)
+        ]
+        sp = DesignSpace.budgeted([4, 5], C_map, 2, 15, 2, ())
+        assert list(sp.blocks()) == [
+            (4, 2, 2), (4, 2, 3), (4, 3, 2), (4, 3, 3), (5, 4, 2), (5, 4, 3)
+        ]
+        with pytest.raises(ValueError, match="no cluster counts"):
+            DesignSpace.grid([4, 6], C_map, [2], 2, ())
+        with pytest.raises(ValueError, match="T must be >= 2"):
+            DesignSpace.budgeted([0, 4], [2], 2, 15, 2, ())
+
     def test_validation(self):
         with pytest.raises(ValueError):
             DesignSpace(T_set=(), C_sets={}, M_sets={}, restrictions=(), D=2)

@@ -14,6 +14,7 @@ from swdesign import (
     DesignSpace,
     Doptimal,
     Eoptimal,
+    EqualSequenceAllocation,
     GridSpec,
     Identifiable,
     MonotoneNondecreasing,
@@ -145,6 +146,27 @@ def brute_force_minimum(space, vc, criterion):
     return best
 
 
+def brute_force_cheapest(space, vc, spec, criterion):
+    """``(cost, criterion, rows)`` of the best cheapest feasible design."""
+    for cost in sorted({m * C * T for T, C, m in space.blocks()}):
+        best = None
+        for T, C, m in space.blocks():
+            if m * C * T != cost:
+                continue
+            block = DesignSpace.single(C, T, m, space.D, space.restrictions)
+            for design in enumerate_designs(block, vc):
+                summary = treatment_covariance(design, vc)
+                if spec.beta < 1 and not power_report(
+                    summary, spec
+                ).meets_requirement:
+                    continue
+                key = (criterion_value(summary, criterion), design.sequences())
+                if best is None or key < best:
+                    best = key
+        if best is not None:
+            return (cost,) + best
+
+
 class TestExhaustiveSearch:
     @pytest.mark.parametrize("crit_name", ["D", "A", "E"])
     def test_matches_brute_force(self, crit_name):
@@ -157,6 +179,39 @@ class TestExhaustiveSearch:
             want_val, _ = brute_force_minimum(space, VC, criterion)
             assert res.status == "ok"
             assert res.criterion_value == pytest.approx(want_val, rel=1e-10)
+
+    @pytest.mark.parametrize("crit_name", ["A", "E"])
+    @pytest.mark.parametrize(
+        "D,spec",
+        [
+            (2, NO_POWER),
+            (3, NO_POWER),
+            (2, PowerSpec(alpha=0.05, beta=0.2, delta=[1.0])),
+        ],
+        ids=["D2", "D3", "D2-power"],
+    )
+    def test_full_cost_weight_matches_brute_force(self, D, spec, crit_name):
+        # w = 1 ranks by cost alone; the criterion then decides among the
+        # cheapest feasible designs, exactly as for w just below 1.
+        criterion = criterion_from_name(crit_name)
+        space = DesignSpace.budgeted(
+            [3, 4, 5], [3, 4, 5], 2, 24, D,
+            (MonotoneNondecreasing(), Identifiable()),
+        )
+        with pytest.warns(UserWarning, match="w = 1"):
+            full = Objective(w=1.0, criterion=criterion)
+        res = exhaustive_search(space, VC, spec, full)
+        near = exhaustive_search(
+            space, VC, spec, Objective(w=1.0 - 1e-9, criterion=criterion)
+        )
+        cost, want_val, want_rows = brute_force_cheapest(
+            space, VC, spec, criterion
+        )
+        assert res.status == "ok"
+        assert res.cost == near.cost == cost
+        assert res.criterion_value == pytest.approx(want_val, rel=1e-10)
+        assert res.best.sequences() == near.best.sequences()
+        assert res.criterion_value == near.criterion_value
 
     def test_enumerates_each_block_chunk_once(self, monkeypatch):
         calls = []
@@ -406,6 +461,33 @@ class TestCrossEntropy:
         assert ce.criterion_value == pytest.approx(
             exact.criterion_value, rel=1e-9
         )
+
+    def test_honours_equal_allocation(self):
+        restrictions = (
+            MonotoneNondecreasing(), Identifiable(), EqualSequenceAllocation()
+        )
+        obj = Objective(w=0.0, criterion=Eoptimal())
+        exact = exhaustive_search(
+            DesignSpace.single(6, 5, 4, 2, restrictions), VC, NO_POWER, obj
+        )
+        assert exact.criterion_value == pytest.approx(0.0583771, abs=1e-7)
+        ce = cross_entropy_search(
+            6, 5, 4, 2, restrictions, VC, obj, NO_POWER, CEParams(seed=0)
+        )
+        assert ce.status == "ok"
+        assert EqualSequenceAllocation().matrix_ok(ce.best.X)
+        assert ce.criterion_value >= exact.criterion_value * (1 - 1e-12)
+
+    def test_equal_allocation_never_met_fails(self):
+        # Two allowed sequences cannot split three clusters equally, and
+        # one sequence repeated three times identifies no treatment effect.
+        pair = CustomPredicate(label="pair", allowed=((0, 0, 1), (0, 1, 1)))
+        with pytest.raises(SearchFailure, match="admissible"):
+            cross_entropy_search(
+                3, 3, 2, 2, (pair, Identifiable(), EqualSequenceAllocation()),
+                VC, Objective(w=0.0, criterion=Eoptimal()), NO_POWER,
+                CEParams(population_size=50, max_iterations=3),
+            )
 
     def test_delta_length_checked(self):
         restrictions = (MonotoneNondecreasing(), Identifiable())
