@@ -172,9 +172,15 @@ def _build_vc(block: dict) -> VarianceComponents:
     return vc
 
 
+def _list(value, name: str) -> list:
+    if not isinstance(value, list):
+        raise click.ClickException(f"{name} must be a list, got {value!r}")
+    return value
+
+
 def _build_restrictions(names) -> tuple:
     out = []
-    for i, item in enumerate(names or []):
+    for i, item in enumerate(_list(names or [], "space.restrictions")):
         field = f"space.restrictions[{i}]"
         if isinstance(item, str):
             try:
@@ -182,12 +188,14 @@ def _build_restrictions(names) -> tuple:
             except ValueError as exc:
                 raise click.ClickException(f"{field}: {exc}") from None
         elif isinstance(item, dict) and "allowed_sequences" in item:
+            allowed = _list(item["allowed_sequences"],
+                            f"{field}.allowed_sequences")
             out.append(
                 CustomPredicate(
                     label=item.get("label", "whitelist"),
                     allowed=tuple(
                         _ints(seq, f"{field}.allowed_sequences[{j}]")
-                        for j, seq in enumerate(item["allowed_sequences"])
+                        for j, seq in enumerate(allowed)
                     ),
                 )
             )
@@ -623,7 +631,7 @@ def sensitivity(config_path, design_path, workers, seed, out):
                                  workers=workers, seed=seed)
         if X is not None:
             ratios = variance_ratio_map(X, grid, space, objective, spec,
-                                        m=m, workers=workers, seed=seed)
+                                        m=m, sensitivity=result)
     except ValueError as exc:
         raise click.ClickException(f"sensitivity: {exc}") from None
     run_dir = _run_dir(out, config_path, "sensitivity")

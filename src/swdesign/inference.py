@@ -304,16 +304,42 @@ def variance_limits(delta, e: float, beta: float) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _check_corr(corr: np.ndarray, q: int) -> np.ndarray:
-    """Validate a correlation matrix; returns its eigenvalues."""
+def _close(x: float, y: float, atol: float) -> bool:
+    """``np.isclose(x, y, atol=atol)`` for two Python floats."""
+    d = x - y
+    return x == y or (math.isfinite(d) and abs(d) <= atol + 1e-5 * abs(y))
+
+
+def _check_corr(corr: np.ndarray, q: int) -> np.ndarray | None:
+    """Validate a correlation matrix; returns its eigenvalues for ``q >= 3``.
+
+    Symmetry and the unit diagonal are checked with the ``np.allclose``
+    tolerances, entry by entry on Python floats.  Positive semidefiniteness
+    needs an eigenvalue solver only for ``q >= 3``, where the lattice rule
+    uses the eigenvalues; for ``q = 2`` the smallest eigenvalue of the lower
+    triangle, the one ``eigvalsh`` reads, has a closed form.  An infinite
+    entry makes the smallest eigenvalue NaN or ``-inf`` and is rejected.
+    """
     if corr.shape != (q, q):
         raise ValueError("corr must be square and match the limits")
-    if not np.allclose(corr, corr.T, atol=1e-10):
+    c = corr.tolist()
+    if not all(_close(c[i][j], c[j][i], 1e-10)
+               for i in range(q) for j in range(q)):
         raise ValueError("corr must be symmetric")
-    if not np.allclose(np.diag(corr), 1.0, atol=1e-8):
+    if not all(_close(c[i][i], 1.0, 1e-8) for i in range(q)):
         raise ValueError("corr must have unit diagonal")
-    vals = np.linalg.eigvalsh(corr)
-    if vals[0] < -1e-10:
+    vals = None
+    if q >= 3:
+        vals = np.linalg.eigvalsh(corr)
+        low = vals[0]
+    elif q == 2:
+        low = (c[0][0] + c[1][1]) / 2 - math.hypot(
+            (c[0][0] - c[1][1]) / 2, c[1][0]
+        )
+    else:
+        low = c[0][0]
+    # Written so that a NaN eigenvalue, from an infinite entry, fails too.
+    if not low >= -1e-10:
         raise ValueError("corr must be positive semidefinite")
     return vals
 

@@ -18,7 +18,8 @@ cluster-period means, with covariance ``S = a I + b J``, are sufficient for
 the fixed effects.  Every cluster shares the nuisance block
 ``[mu, pi_2..pi_T]``, so :func:`covariance_kernel` eliminates it in closed
 form and a search over millions of allocation matrices inverts only
-``q x q`` matrices.  The ``p x p`` information matrix and the explicit
+``q x q`` matrices, entry by entry on vectors over the candidates and with
+no LAPACK call.  The ``p x p`` information matrix and the explicit
 observation-level matrices remain as references.
 """
 
@@ -378,17 +379,86 @@ def kernel_sums(counts: np.ndarray, contributions):
 
     and ``scale`` is the entry sum of ``Zbar``, which is
     ``tr(sum_s c_s Z_s'Z_s)`` for 0/1 ``Z_s``.
+
+    ``P`` and ``Q`` are ``q x q x k`` arrays of entry vectors: ``P[i, j]``
+    is the contiguous length-``k`` vector of entry ``(i, j)`` over the
+    candidates, so the kernel works entry by entry with no per-matrix
+    call.  ``scale`` has length ``k``.  Every count-weighted sum comes from
+    one matrix product; the entries ``i <= j`` of the ``1 / C`` corrections
+    take one product each and are mirrored below the diagonal.
     """
     Z, ZtZ, Zt1 = contributions
     n, T, q = Z.shape
-    C = counts.sum(axis=1)[:, None, None]
-    Zbar = (counts @ Z.reshape(n, -1)).reshape(-1, T, q)
-    Zbar1 = Zbar.sum(axis=1)
-    P = (counts @ ZtZ.reshape(n, -1)).reshape(-1, q, q)
-    P -= Zbar.transpose(0, 2, 1) @ Zbar / C
-    Q = counts @ (Zt1[:, :, None] * Zt1[:, None, :]).reshape(n, -1)
-    Q = Q.reshape(-1, q, q) - Zbar1[:, :, None] * Zbar1[:, None, :] / C
-    return P, Q, Zbar1.sum(axis=1)
+    per_seq = np.concatenate([
+        Z.transpose(0, 2, 1).reshape(n, q * T),
+        ZtZ.reshape(n, q * q),
+        (Zt1[:, :, None] * Zt1[:, None, :]).reshape(n, q * q),
+        Zt1,
+        np.ones((n, 1)),
+    ], axis=1)
+    sums = per_seq.T @ counts.T
+    Zbar = sums[: q * T].reshape(q, T, -1)
+    P = sums[q * T: q * (T + q)].reshape(q, q, -1)
+    Q = sums[q * (T + q): q * (T + 2 * q)].reshape(q, q, -1)
+    Zbar1, C = sums[q * (T + 2 * q): -1], sums[-1]
+    for i in range(q):
+        for j in range(i, q):
+            P[i, j] -= np.einsum("tk,tk->k", Zbar[i], Zbar[j]) / C
+            Q[i, j] -= Zbar1[i] * Zbar1[j] / C
+            if j > i:
+                P[j, i], Q[j, i] = P[i, j], Q[i, j]
+    return P, Q, Zbar1.sum(axis=0)
+
+
+def _positive_definite(K, shift):
+    """Whether every LDL' pivot of ``K - shift I`` is positive.
+
+    ``K`` is a ``q x q`` array of entry vectors.  By Sylvester's criterion
+    this holds exactly when the smallest eigenvalue of ``K`` exceeds
+    ``shift``.  The elimination reads and writes the upper triangle only;
+    a candidate whose pivot fails continues with a unit pivot, so its later
+    pivots stay finite and the verdict is already decided.
+    """
+    q = K.shape[0]
+    A = [[K[i, j] - shift if i == j else K[i, j] for j in range(q)]
+         for i in range(q)]
+    ok = A[0][0] > 0
+    for j in range(q - 1):
+        inv = 1.0 / np.where(ok, A[j][j], 1.0)
+        for i in range(j + 1, q):
+            f = A[j][i] * inv
+            for c in range(i, q):
+                A[i][c] = A[i][c] - f * A[j][c]
+        ok &= A[j + 1][j + 1] > 0
+    return ok
+
+
+def _scaled_inverse(K, a: float) -> np.ndarray:
+    """``k x q x q`` stack of ``a K^-1`` from ``q x q`` entry vectors.
+
+    Gauss-Jordan elimination in its symmetric form (the sweep operator):
+    each pivot in turn is eliminated from the upper triangle in place, no
+    pivoting is needed for a positive definite ``K``, and after the last
+    sweep the upper triangle holds ``-K^-1``.
+    """
+    q, k = K.shape[0], K.shape[2]
+    A = [[K[i, j] for j in range(q)] for i in range(q)]
+    for p in range(q):
+        d = 1.0 / A[p][p]
+        old = [A[min(i, p)][max(i, p)] for i in range(q)]
+        col = [v * d for v in old]
+        for i in range(q):
+            for j in range(i, q):
+                if p not in (i, j):
+                    A[i][j] = A[i][j] - col[i] * old[j]
+        for i in range(q):
+            A[min(i, p)][max(i, p)] = col[i]
+        A[p][p] = -d
+    out = np.empty((k, q, q))
+    for i in range(q):
+        for j in range(i, q):
+            out[:, i, j] = out[:, j, i] = -a * A[i][j]
+    return out
 
 
 def covariance_kernel(
@@ -399,15 +469,19 @@ def covariance_kernel(
     Eliminating ``[mu, pi_2..pi_T]`` gives ``Lambda_q = a (P - gamma Q)^-1``
     with ``gamma = b / (a + T b)`` (the multi-arm form of Hussey & Hughes,
     2007).  A candidate is identifiable when the smallest eigenvalue of
-    ``P - gamma Q`` exceeds ``RANK_RTOL * scale``, a scale that, unlike the
-    largest eigenvalue, is meaningful at ``q = 1``.  Returns the mask and
-    the ``Lambda_q`` stack of the identifiable candidates.
+    ``K = P - gamma Q`` exceeds ``RANK_RTOL * scale``, a scale that, unlike
+    the largest eigenvalue, is meaningful at ``q = 1``.  That is tested
+    without an eigenvalue solver by Sylvester's criterion on the shifted
+    matrix ``K - RANK_RTOL * scale * I``, and the identifiable ``K`` are
+    inverted by Gauss-Jordan elimination; both work entry by entry on
+    vectors over the candidates, with no LAPACK call.  Returns the mask and
+    the ``k x q x q`` ``Lambda_q`` stack of the identifiable candidates.
     """
     P, Q, scale = sums
     a, b = _mean_variances(m, vc)
     K = P - (b / (a + T * b)) * Q
-    ident = np.linalg.eigvalsh(K)[:, 0] > RANK_RTOL * scale
-    return ident, a * np.linalg.inv(K[ident])
+    ident = _positive_definite(K, RANK_RTOL * scale)
+    return ident, _scaled_inverse(K[:, :, ident], a)
 
 
 def information_matrix(design: Design, vc: VarianceComponents) -> np.ndarray:

@@ -307,10 +307,9 @@ def _combo_counts(
 
 def _row_counts(idx: np.ndarray, n: int) -> np.ndarray:
     """``k x n`` multiplicities of the sequence indices in each row of idx."""
-    k, C = idx.shape
-    counts = np.zeros((k, n))
-    np.add.at(counts, (np.repeat(np.arange(k), C), idx.ravel()), 1.0)
-    return counts
+    k = idx.shape[0]
+    flat = (idx + n * np.arange(k)[:, None]).ravel()
+    return np.bincount(flat, minlength=k * n).reshape(k, n).astype(float)
 
 
 def _counts_to_rows(counts_row: np.ndarray, seqs: list) -> tuple:
@@ -816,6 +815,8 @@ def variance_ratio_map(
     m: int | None = None,
     workers: int = 1,
     seed: int = 0,
+    *,
+    sensitivity: SensitivityResult | None = None,
 ) -> np.ndarray:
     """Variance inflation of a fixed design relative to the per-point optimum.
 
@@ -823,6 +824,9 @@ def variance_ratio_map(
     allocation matrix to that of the point's optimal design, taken from
     :func:`sensitivity_map`.  Ratios are at least one up to numerical
     tolerance wherever the supplied design lies in the searched space.
+    A caller that already holds the map of the same grid, space, objective
+    and power settings passes it as ``sensitivity``, so the space is not
+    scanned again.
     """
     X = np.asarray(X, dtype=int)
     if m is None:
@@ -831,7 +835,7 @@ def variance_ratio_map(
                              "the space, so its m must be given")
         m = min(space.M_sets[X.shape])
     fixed = Design(m, X.shape[0], X.shape[1], X, space.D)
-    sens = sensitivity_map(
+    sens = sensitivity or sensitivity_map(
         grid, space, objective, spec, workers=workers, seed=seed
     )
     xs, ys = sens.sigma2_c_values, sens.sigma2_eps_values

@@ -234,13 +234,20 @@ class TestConfigErrors:
             ("sensitivity", lambda c: c.pop("design"),
              ("0011", "0111"), "sensitivity: the design's (C, T) = (2, 4) is "
              "not in the space"),
+            ("search", lambda c: c["space"].update(restrictions="monotone"),
+             None, "space.restrictions must be a list, got 'monotone'"),
+            ("search", lambda c: c["space"]["restrictions"].append(
+                {"allowed_sequences": 5}),
+             None, "space.restrictions[2].allowed_sequences must be a list, "
+             "got 5"),
         ],
         ids=["ce-population-type", "ce-population-zero", "ce-elite",
              "ce-unknown-key", "criterion", "candidate-cap", "sigma2-range",
              "steps-negative",
              "steps-zero", "design-m-type", "design-m-small", "compare-m",
              "labels-above-D", "space-list", "model-list", "whitelist-label",
-             "ratio-design-outside-space"],
+             "ratio-design-outside-space", "restrictions-string",
+             "whitelist-not-list"],
     )
     def test_one_line_error(self, runner, tmp_path, command, edit, rows,
                             expected):
@@ -586,6 +593,58 @@ class TestSensitivity:
         assert len(ratio_lines) == 1 + 4
         for line in ratio_lines[1:]:
             assert float(line.split(",")[2]) >= 1.0 - 1e-10
+
+    def test_ratio_map_reuses_the_grid_scan(self, runner, tmp_path,
+                                            monkeypatch):
+        from swdesign import search
+        from swdesign.designspace import DesignSpace, restriction_from_name
+        from swdesign.inference import PowerSpec
+
+        calls = []
+        scan_chunk = search._scan_chunk
+
+        def counted(job):
+            calls.append((job["T"], job["C"], job["start"]))
+            return scan_chunk(job)
+
+        monkeypatch.setattr(search, "_scan_chunk", counted)
+        sens = {"sigma2_c_range": [0.02, 0.2], "sigma2_eps_range": [0.5, 1.5],
+                "steps": 3}
+        cfg = write_json(tmp_path / "sens.json", {
+            "schema_version": 1,
+            "space": {"D": 2, "T": [3, 4], "C": [3, 4], "m": 2,
+                      "restrictions": ["monotone", "identifiable"]},
+            "objective": {"w": 0.0, "criterion": "A"},
+            "sensitivity": sens,
+        })
+        fixed = tmp_path / "fixed.csv"
+        Xf = X("0001", "0011", "0111", "0011")
+        write_design_csv(Xf, fixed)
+        out = tmp_path / "run"
+        result = runner.invoke(
+            main, ["sensitivity", "--config", cfg, "--design", str(fixed),
+                   "--workers", "1", "--out", str(out)],
+        )
+        assert result.exit_code == 0, result.output
+        # One chunk per (T, C) block, each scanned once.
+        assert sorted(calls) == [(3, 3, 0), (3, 4, 0), (4, 3, 0), (4, 4, 0)]
+        # The same bytes as the ratio map computed from its own scan.
+        space = DesignSpace.grid(
+            [3, 4], [3, 4], [2], 2,
+            [restriction_from_name(n) for n in ("monotone", "identifiable")],
+        )
+        grid = search.GridSpec(tuple(sens["sigma2_c_range"]),
+                               tuple(sens["sigma2_eps_range"]), 3)
+        ratios = search.variance_ratio_map(
+            Xf, grid, space, search.Objective(0.0, search.Aoptimal()),
+            PowerSpec(alpha=0.05, beta=1.0, delta=[]),
+        )
+        xs, ys = grid.points()
+        want = "sigma2_c,sigma2_eps,variance_ratio\n" + "".join(
+            f"{float(x)!r},{float(y)!r},{float(ratios[i, j])!r}\n"
+            for i, x in enumerate(xs) for j, y in enumerate(ys)
+        )
+        assert (out / "ratio.csv").read_text() == want
 
 
 class TestAnalytic:

@@ -226,6 +226,41 @@ class TestOrthant:
         with pytest.raises(ValueError):
             mvn_upper_orthant([0.0, 0.0], [0.0, 0.0], bad)
 
+    @pytest.mark.parametrize("q", [2, 3])
+    @pytest.mark.parametrize(
+        "edit,message",
+        [
+            (lambda c: c.__setitem__((0, 1), 0.3 + 1e-4), "symmetric"),
+            (lambda c: c.__setitem__((1, 1), 1.0 + 1e-4), "unit diagonal"),
+            (lambda c: c.__setitem__((0, 0), np.nan), "symmetric"),
+            (lambda c: (c.__setitem__((0, 1), 1.0 + 2e-10),
+                        c.__setitem__((1, 0), 1.0 + 2e-10)),
+             "positive semidefinite"),
+            (lambda c: (c.__setitem__((0, 1), np.inf),
+                        c.__setitem__((1, 0), np.inf)),
+             "positive semidefinite"),
+        ],
+        ids=["asymmetric", "diagonal", "nan", "indefinite", "infinite"],
+    )
+    def test_correlation_faults_named(self, q, edit, message):
+        corr = np.eye(q)
+        corr[0, 1] = corr[1, 0] = 0.3
+        edit(corr)
+        with pytest.raises(ValueError, match=message):
+            mvn_upper_orthant(np.zeros(q), np.zeros(q), corr)
+
+    @pytest.mark.parametrize("q", [2, 3])
+    def test_correlation_tolerances_accept(self, q):
+        # Inside the symmetry (1e-10 + 1e-5 |r|), diagonal (1e-8 + 1e-5)
+        # and eigenvalue (-1e-10) tolerances.
+        corr = np.eye(q)
+        corr[0, 1], corr[1, 0] = 0.3 + 2e-6, 0.3
+        corr[1, 1] = 1.0 + 9e-6
+        assert 0.0 <= mvn_upper_orthant(np.zeros(q), np.zeros(q), corr) <= 1
+        corr = np.eye(q)
+        corr[0, 1] = corr[1, 0] = -(1.0 + 5e-11)
+        assert 0.0 <= mvn_upper_orthant(np.zeros(q), np.zeros(q), corr) <= 1
+
 
 # ---------------------------------------------------------------------------
 # Power reports

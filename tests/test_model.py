@@ -10,7 +10,11 @@ from hypothesis import strategies as st
 from swdesign import (
     DegenerateVarianceError,
     Design,
+    DesignSpace,
+    Identifiable,
+    MonotoneNondecreasing,
     NonIdentifiableError,
+    PowerSpec,
     VarianceComponents,
     build_model_matrices,
     is_identifiable,
@@ -339,3 +343,95 @@ def test_kernel_matches_information_matrix_on_whole_space(
         treatment_covariance(design, vc).Lambda_q, oracle,
         rtol=0, atol=1e-9 * np.abs(oracle).max(),
     )
+
+
+# ---------------------------------------------------------------------------
+# Entry-vector kernel against LAPACK on random stacks
+# ---------------------------------------------------------------------------
+
+
+def _psd_stack(q, rng):
+    """Symmetric PSD ``K`` stack, its scales and which members are which.
+
+    Returns ``(K, scale, kind)`` with ``kind`` one of ``"random"`` (smallest
+    eigenvalue at least 0.5), ``"singular"`` (exactly singular integer
+    matrices, the first of them zero with zero scale like an all-control
+    candidate), ``"above"`` and ``"below"`` (smallest eigenvalue at
+    ``(1 +- 1e-3) * RANK_RTOL * scale``).
+    """
+    from swdesign.model import RANK_RTOL
+
+    n = 60
+    kinds = ["random"] * n + ["singular"] * n + ["above"] * n + ["below"] * n
+    scale = rng.uniform(1.0, 40.0, len(kinds))
+    scale[n] = 0.0
+    K = np.empty((len(kinds), q, q))
+    for k, kind in enumerate(kinds):
+        if kind == "singular":
+            B = rng.integers(-3, 4, (q, q - 1)).astype(float)
+            K[k] = B @ B.T if scale[k] else 0.0
+            continue
+        vals = rng.uniform(0.5, 20.0, q)
+        if kind != "random":
+            vals[0] = RANK_RTOL * scale[k] * (1 + (1e-3 if kind == "above"
+                                                   else -1e-3))
+        V, _ = np.linalg.qr(rng.standard_normal((q, q)))
+        M = (V * vals) @ V.T
+        K[k] = 0.5 * (M + M.T)
+    return K, scale, np.array(kinds)
+
+
+@pytest.mark.parametrize("q", [1, 2, 3, 4])
+def test_entry_kernel_matches_lapack_on_random_stacks(q):
+    from swdesign.model import RANK_RTOL, _mean_variances, covariance_kernel
+
+    K, scale, kind = _psd_stack(q, np.random.default_rng(q))
+    vc, m, T = VarianceComponents.from_rho(1.0, 0.05), 4, 5
+    # With Q = 0 the kernel's P - gamma Q is K itself.
+    entries = np.ascontiguousarray(K.transpose(1, 2, 0))
+    # No division by a zero pivot, not even for the zero member.
+    with np.errstate(all="raise"):
+        ident, Lambda = covariance_kernel(
+            (entries, np.zeros_like(entries), scale), T, m, vc
+        )
+    want_ident = np.linalg.eigvalsh(K)[:, 0] > RANK_RTOL * scale
+    np.testing.assert_array_equal(ident, want_ident)
+    assert want_ident[kind == "above"].all()
+    assert not want_ident[(kind == "below") | (kind == "singular")].any()
+    want = _mean_variances(m, vc)[0] * np.linalg.inv(K[ident])
+    err = np.abs(Lambda - want).max(axis=(1, 2))
+    size = np.abs(want).max(axis=(1, 2))
+    well = kind[ident] == "random"
+    assert (err[well] <= 1e-12 * size[well]).all()
+    # Near the threshold K has condition number ~1e9, so both inverses
+    # carry forward errors of order cond * eps.
+    cond = np.linalg.cond(K[ident])
+    assert (err <= 1e-14 * cond * size).all()
+
+
+def test_search_paths_make_no_lapack_call(monkeypatch):
+    from swdesign import inference, search
+
+    # The quadrature nodes come from one eigvalsh call, cached for the
+    # process; the search path itself must make none.
+    inference._gauss_legendre()
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("LAPACK call on the search path")
+
+    monkeypatch.setattr("swdesign.model.np.linalg.eigvalsh", forbidden)
+    monkeypatch.setattr("swdesign.model.np.linalg.inv", forbidden)
+    restrictions = (MonotoneNondecreasing(), Identifiable())
+    vc = VarianceComponents.from_rho(1.0, 0.05)
+    space = DesignSpace.budgeted([3, 4], [2, 3], 2, 12, 3, restrictions)
+    res = search.exhaustive_search(
+        space, vc, PowerSpec(alpha=0.05, beta=0.2, delta=[4.0, 3.0]),
+        search.Objective(0.5, search.Eoptimal()),
+    )
+    assert res.status == "ok" and res.power is not None
+    res = search.cross_entropy_search(
+        4, 5, 4, 4, restrictions, vc, search.Objective(0.0, search.Aoptimal()),
+        PowerSpec(alpha=0.05, beta=1.0, delta=[]),
+        search.CEParams(population_size=50, max_iterations=3),
+    )
+    assert res.best is not None

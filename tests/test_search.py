@@ -1,5 +1,6 @@
 """Search tests: criteria, objectives, exhaustive and stochastic search."""
 
+import functools
 from math import comb
 
 import numpy as np
@@ -37,6 +38,7 @@ from swdesign import (
 from swdesign import search
 from swdesign.designspace import enumerate_sequences
 from swdesign.inference import critical_value, power_report, variance_limits
+from swdesign.model import RANK_RTOL, CovarianceSummary, information_matrix
 from swdesign.search import _draw_rows
 
 from conftest import X, row_multiset
@@ -167,6 +169,66 @@ def brute_force_cheapest(space, vc, spec, criterion):
             return (cost,) + best
 
 
+#: Three periods, three clusters, m in {2, 3}, D = 3 and no restriction:
+#: every optimum ties exactly with other designs (relabelled Latin
+#: squares, time reversals), so the result rests on the tie-break.
+TIED = DesignSpace.grid([3], [3], [2, 3], 3, ())
+
+
+@functools.lru_cache(maxsize=None)
+def tied_reference():
+    """``(m, rows, Lambda_q)`` of every identifiable design of ``TIED``.
+
+    ``Lambda_q`` is the leading block of the inverse of the full ``p x p``
+    information matrix, from ``np.linalg.inv``.
+    """
+    out = []
+    for design in enumerate_designs(TIED, VC):
+        M = information_matrix(design, VC)
+        vals = np.linalg.eigvalsh(M)
+        if vals[0] > vals[-1] * RANK_RTOL:
+            out.append((design.m, design.sequences(),
+                        np.linalg.inv(M)[:2, :2]))
+    return out
+
+
+def tied_brute_force(spec, criterion, w):
+    """``(m, rows, n_feasible)`` of the winner by the documented rules.
+
+    Per cost, the champion is the smallest-rows feasible design within
+    ``_TIE_RTOL`` of that cost's minimal criterion; champions compete on
+    the scaled objective, ties going to lower cost, then smaller rows.
+    """
+    designs = tied_reference()
+    crits = [float(criterion.batch(L[None], np.diag(L)[None])[0])
+             for _, _, L in designs]
+    gmin, gmax = min(crits), max(crits)
+    costs = [m * 9.0 for m, _, _ in designs]
+    fmin, fmax = min(costs), max(costs)
+    feasible = [
+        spec.beta >= 1 or power_report(
+            CovarianceSummary(L, 1.0 / np.diag(L), 2), spec
+        ).meets_requirement
+        for _, _, L in designs
+    ]
+    champions = []
+    for cost in sorted(set(costs)):
+        pool = [k for k, f in enumerate(feasible) if f and costs[k] == cost]
+        if not pool:
+            continue
+        cmin = min(crits[k] for k in pool)
+        k = min((k for k in pool if crits[k] <= cmin + 1e-9 * cmin),
+                key=lambda k: designs[k][1])
+        obj = (w * (cost - fmin) / (fmax - fmin)
+               + (1 - w) * (crits[k] - gmin) / (gmax - gmin))
+        champions.append((obj, cost, designs[k][1], designs[k][0]))
+    omin = min(c[0] for c in champions)
+    tied = [c for c in champions
+            if abs(c[0] - omin) <= 1e-9 * max(abs(c[0]), abs(omin))]
+    _, _, rows, m = min(tied, key=lambda c: (c[1], c[2]))
+    return m, rows, sum(feasible)
+
+
 class TestExhaustiveSearch:
     @pytest.mark.parametrize("crit_name", ["D", "A", "E"])
     def test_matches_brute_force(self, crit_name):
@@ -212,6 +274,21 @@ class TestExhaustiveSearch:
         assert res.criterion_value == pytest.approx(want_val, rel=1e-10)
         assert res.best.sequences() == near.best.sequences()
         assert res.criterion_value == near.criterion_value
+
+    @pytest.mark.parametrize("crit_name", ["D", "A", "E"])
+    @pytest.mark.parametrize("w", [0.0, 0.5])
+    @pytest.mark.parametrize(
+        "spec",
+        [NO_POWER, PowerSpec(alpha=0.05, beta=0.2, delta=[2.0, 1.6])],
+        ids=["no-power", "power"],
+    )
+    def test_tied_optima_match_inverse_reference(self, spec, w, crit_name):
+        criterion = criterion_from_name(crit_name)
+        res = exhaustive_search(TIED, VC, spec, Objective(w, criterion))
+        m, rows, n_feasible = tied_brute_force(spec, criterion, w)
+        assert res.status == "ok"
+        assert (res.best.m, res.best.sequences()) == (m, rows)
+        assert res.n_feasible == n_feasible
 
     def test_enumerates_each_block_chunk_once(self, monkeypatch):
         calls = []
