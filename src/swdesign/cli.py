@@ -51,6 +51,13 @@ from .search import (
 SCHEMA_VERSION = 1
 EXIT_NO_ADMISSIBLE = 3
 
+#: Top-level config keys; any other one, a misspelt block name say, is an
+#: error rather than silently ignored.
+CONFIG_KEYS = frozenset({
+    "schema_version", "model", "space", "power", "objective", "design",
+    "compare", "ce", "sensitivity", "analytic", "candidate_cap",
+})
+
 __all__ = ["main", "read_design_csv", "write_design_csv", "load_config"]
 
 
@@ -285,6 +292,11 @@ def load_config(path) -> dict:
             f"{path}: schema_version {version!r} unsupported "
             f"(expected {SCHEMA_VERSION})"
         )
+    unknown = sorted(set(cfg) - CONFIG_KEYS)
+    if unknown:
+        raise click.ClickException(
+            f"{path}: unknown top-level key {', '.join(map(repr, unknown))}"
+        )
     return cfg
 
 
@@ -496,7 +508,7 @@ def search(config_path, workers, seed, out, compare_path):
     run_dir = _run_dir(out, config_path, "search")
     cfg_power = spec if spec.q == space.D - 1 else None
     if result.best is not None:
-        stats = evaluate_design(result.best, vc, cfg_power, seed)
+        stats = dict(evaluate_design(result.best, vc), power=result.power)
         compare = _comparator_stats(
             cfg, compare_path, vc, cfg_power, seed, space.D, result.best.m
         )
@@ -567,8 +579,7 @@ def ce_search(config_path, seed, out):
         C, T, m, space.D, space.restrictions, vc, objective, spec, params
     )
     run_dir = _run_dir(out, config_path, "ce-search")
-    cfg_power = spec if spec.q == space.D - 1 else None
-    stats = evaluate_design(result.best, vc, cfg_power, params.seed)
+    stats = dict(evaluate_design(result.best, vc), power=result.power)
     for line in _report_lines(stats, None):
         click.echo(line)
     _stats_csv(stats, run_dir / "table.csv")

@@ -7,12 +7,14 @@ per-hypothesis (``correction='none'``) or via Bonferroni.  Individual power
 is the smallest per-hypothesis rejection probability at the clinically
 relevant differences ``delta``; combined power is the probability of
 rejecting at least one hypothesis, one minus a multivariate normal orthant
-probability.  For ``q = 2`` that probability is exact to rounding: the
-Drezner & Wesolowsky (1990) bivariate normal as refined by Genz (2004).
-For ``q >= 3`` it is estimated by Genz's sequential conditioning on a
-randomized rank-1 lattice rule.  Only the standard library and numpy are
-used; the normal distribution function of arrays is Cody's (1969) rational
-``erfc`` and its inverse is Wichura's (1988) AS241.
+probability.  For ``q <= 3`` that probability is deterministic and accurate
+to about 1e-12: for ``q = 2`` the Drezner & Wesolowsky (1990) bivariate
+normal as refined by Genz (2004), for ``q = 3`` Genz's (2004) trivariate
+method, a fixed quadrature of Plackett's (1954) identity over the bivariate
+normal.  For ``q >= 4`` it is estimated by Genz's sequential conditioning
+on a randomized rank-1 lattice rule.  Only the standard library and numpy
+are used; the normal distribution function of arrays is Cody's (1969)
+rational ``erfc`` and its inverse is Wichura's (1988) AS241.
 """
 
 from __future__ import annotations
@@ -35,9 +37,12 @@ __all__ = [
 ]
 
 #: Number of randomly shifted replicates and points per replicate of the
-#: lattice rule for ``q >= 3``.
+#: lattice rule for ``q >= 4``.
 _MVN_REPLICATES = 8
 _MVN_POINTS = 2**13
+
+#: Panels of the composite rule for the trivariate orthant (``q = 3``).
+_TVN_PANELS = 11
 
 #: Square roots of these primes, modulo one, generate the Richtmyer lattice;
 #: nine of them cover the ``q - 1 <= 9`` conditioning dimensions.
@@ -315,10 +320,11 @@ def _check_corr(corr: np.ndarray, q: int) -> np.ndarray | None:
 
     Symmetry and the unit diagonal are checked with the ``np.allclose``
     tolerances, entry by entry on Python floats.  Positive semidefiniteness
-    needs an eigenvalue solver only for ``q >= 3``, where the lattice rule
-    uses the eigenvalues; for ``q = 2`` the smallest eigenvalue of the lower
-    triangle, the one ``eigvalsh`` reads, has a closed form.  An infinite
-    entry makes the smallest eigenvalue NaN or ``-inf`` and is rejected.
+    needs an eigenvalue solver only for ``q >= 3`` (the lattice rule for
+    ``q >= 4`` also uses the eigenvalues); for ``q = 2`` the smallest
+    eigenvalue of the lower triangle, the one ``eigvalsh`` reads, has a
+    closed form.  An infinite entry makes the smallest eigenvalue NaN or
+    ``-inf`` and is rejected.
     """
     if corr.shape != (q, q):
         raise ValueError("corr must be square and match the limits")
@@ -344,11 +350,26 @@ def _check_corr(corr: np.ndarray, q: int) -> np.ndarray | None:
     return vals
 
 
+# The positive half of the 20-point Gauss-Legendre rule, digit for digit as
+# ``numpy.polynomial.legendre.leggauss(20)`` returns it; the rule is
+# symmetric about zero.
+_GL_NODES = (0.07652652113349734, 0.22778585114164507, 0.37370608871541955,
+             0.5108670019508271, 0.636053680726515, 0.7463319064601508,
+             0.8391169718222188, 0.912234428251326, 0.9639719272779138,
+             0.993128599185095)
+_GL_WEIGHTS = (0.15275338713072628, 0.14917298647260424, 0.1420961093183824,
+               0.1316886384491769, 0.1181945319615186, 0.1019301198172407,
+               0.08327674157670471, 0.06267204833410879, 0.040601429800386446,
+               0.017614007139150893)
+
+
 @lru_cache(maxsize=1)
 def _gauss_legendre():
     """20-point Gauss-Legendre nodes shifted to (0, 2), and their weights."""
-    t, w = np.polynomial.legendre.leggauss(20)
-    return 1.0 + t, w
+    t = np.array(_GL_NODES)
+    w = np.array(_GL_WEIGHTS)
+    return (np.concatenate((1.0 - t[::-1], 1.0 + t)),
+            np.concatenate((w[::-1], w)))
 
 
 def _bvn_upper(h: float, k: float, r: float) -> float:
@@ -408,8 +429,75 @@ def _bvn_upper(h: float, k: float, r: float) -> float:
     return min(max(bvn, 0.0), 1.0)
 
 
+@lru_cache(maxsize=1)
+def _tvn_nodes():
+    """Composite Gauss-Legendre rule on (0, 1) for :func:`_tvn_upper`.
+
+    The panels end at ``1 - 8^-j`` for ``j = 0 .. _TVN_PANELS - 1`` and at 1.
+    For a singular correlation matrix the conditional variances vanish at
+    ``t = 1`` like ``1 - t``, so the integrand has a boundary layer there
+    that can be arbitrarily thin; the geometric grading resolves it.
+    """
+    x, w = _gauss_legendre()
+    edges = np.append(1.0 - 8.0 ** -np.arange(_TVN_PANELS), 1.0)
+    half = np.diff(edges)[:, None] / 2.0
+    return (edges[:-1, None] + half * x).ravel(), (half * w).ravel()
+
+
+def _tvn_upper(h, r) -> float:
+    """``P(X > h)`` for standard trivariate normals with correlations ``r``.
+
+    ``r = (r12, r13, r23)``, each in [-1, 1].  Genz's (2004) method: the
+    variables are reordered so that ``|r23|`` is the largest correlation,
+    and Plackett's (1954) identity integrates the derivative along
+    ``r12(t) = t r12``, ``r13(t) = t r13`` from ``Phi(-h1) P(X2 > h2,
+    X3 > h3)`` at ``t = 0``::
+
+        dP/dt = r12 phi2(h1, h2; r12(t)) P(X3 > h3 | X1 = h1, X2 = h2)
+              + r13 phi2(h1, h3; r13(t)) P(X2 > h2 | X1 = h1, X3 = h3)
+
+    on the fixed rule of :func:`_tvn_nodes`.  Both conditional variances
+    are ``det R(t) / (1 - r1j(t)^2)``; where ``det R(t)`` reaches zero the
+    conditional probability is a step.  ``|r23| = 1`` reduces to bivariate
+    probabilities.  Accurate to about 1e-12 absolute.
+    """
+    h1, h2, h3 = h
+    r12, r13, r23 = r
+    if abs(r12) > max(abs(r13), abs(r23)):
+        h1, h2, h3, r12, r13, r23 = h3, h1, h2, r13, r23, r12
+    elif abs(r13) > abs(r23):
+        h1, h2, h3, r12, r13, r23 = h2, h1, h3, r12, r23, r13
+    if r23 == 1.0:
+        return _bvn_upper(h1, max(h2, h3), r12)
+    if r23 == -1.0:
+        if h2 >= -h3:
+            return 0.0
+        return max(_bvn_upper(h1, h2, r12) - _bvn_upper(h1, -h3, r12), 0.0)
+    t, w = _tvn_nodes()
+    s12 = t * r12
+    s13 = t * r13
+    c12 = 1.0 - s12 * s12
+    c13 = 1.0 - s13 * s13
+    det = (1.0 - r23 * r23) - t * t * (r12 * r12 + r13 * r13
+                                       - 2.0 * r12 * r13 * r23)
+    # Numerators of the conditional upper-tail limits, times 1 - r1j(t)^2.
+    n3 = (s13 - s12 * r23) * h1 + (r23 - s12 * s13) * h2 - c12 * h3
+    n2 = (s12 - s13 * r23) * h1 + (r23 - s12 * s13) * h3 - c13 * h2
+    cond = _ndtr(np.concatenate((
+        n3 / np.sqrt(np.maximum(det * c12, 1e-300)),
+        n2 / np.sqrt(np.maximum(det * c13, 1e-300)),
+    )))
+    n = t.size
+    f12 = np.exp((s12 * h1 * h2 - (h1 * h1 + h2 * h2) / 2.0) / c12)
+    f13 = np.exp((s13 * h1 * h3 - (h1 * h1 + h3 * h3) / 2.0) / c13)
+    dp = (r12 * f12 * cond[:n] / np.sqrt(c12)
+          + r13 * f13 * cond[n:] / np.sqrt(c13))
+    tvn = _phi(-h1) * _bvn_upper(h2, h3, r23) + float(dp @ w) / _TWO_PI
+    return min(max(tvn, 0.0), 1.0)
+
+
 def _lattice_orthant(b, corr, vals, seed: int) -> float:
-    """Lower-orthant probability ``P(Y <= b)`` for ``q >= 3`` by lattice QMC.
+    """Lower-orthant probability ``P(Y <= b)`` for ``q >= 4`` by lattice QMC.
 
     Sequential conditioning (Genz 1992) with the variables ordered by
     increasing limit, integrated by a Richtmyer rank-1 lattice rule with the
@@ -444,10 +532,11 @@ def _lattice_orthant(b, corr, vals, seed: int) -> float:
 def mvn_upper_orthant(limits, mean, corr, seed: int = 0) -> float:
     """``P(Y_f <= limits_f for all f)`` for ``Y ~ N(mean, corr)``.
 
-    ``q = 1`` and ``q = 2`` are exact to rounding and ignore ``seed``.
-    ``q >= 3`` uses a randomized lattice rule, deterministic for a fixed
-    ``seed``, with absolute error well below 1e-5 for ``q <= 4``.  ``q`` up
-    to 10 is supported.
+    ``q <= 3`` is accurate to about 1e-12 and ignores ``seed``.  ``q >= 4``
+    uses a randomized lattice rule, deterministic for a fixed ``seed``.  At
+    ``q = 4`` its absolute error, over 8 seeds, reached 2e-5 on random
+    correlation matrices with smallest eigenvalue above 0.02 and 2e-4 on
+    nearly singular ones.  ``q`` up to 10 is supported.
     """
     limits = np.asarray(limits, dtype=float)
     q = limits.size
@@ -461,6 +550,9 @@ def mvn_upper_orthant(limits, mean, corr, seed: int = 0) -> float:
     elif q == 2:
         r = min(max(float(corr[0, 1]), -1.0), 1.0)
         value = _bvn_upper(-b[0], -b[1], r)
+    elif q == 3:
+        r = np.clip(corr[[0, 0, 1], [1, 2, 2]], -1.0, 1.0)
+        value = _tvn_upper((-b).tolist(), r.tolist())
     else:
         value = _lattice_orthant(b, corr, vals, seed)
     return min(max(value, 0.0), 1.0)
@@ -477,7 +569,8 @@ def power_report(summary, spec: PowerSpec, seed: int = 0) -> PowerReport:
         Error rates and effect sizes; ``len(spec.delta)`` must equal
         ``summary.q``.
     seed : int
-        Seed for the combined-power integral (used only when ``q >= 3``).
+        Seed for the combined-power integral (used only when ``q >= 4``;
+        for ``q <= 3`` the combined power is deterministic).
     """
     if spec.q != summary.q:
         raise ValueError(

@@ -126,6 +126,51 @@ class TestConfigErrors:
         assert len(lines) == 1 and lines[0].startswith("Error: ")
         return lines[0]
 
+    @pytest.mark.parametrize("key", ["objectve", "Power", "seed", "workers"])
+    def test_unknown_top_level_key(self, runner, tmp_path, key):
+        line = self.run_search(runner, tmp_path, lambda c: c.update({key: 1}))
+        assert line.endswith(f"unknown top-level key {key!r}")
+
+    def test_every_unknown_key_named(self, runner, tmp_path):
+        line = self.run_search(
+            runner, tmp_path, lambda c: c.update(spaec={}, modle={})
+        )
+        assert line.endswith("unknown top-level key 'modle', 'spaec'")
+
+    def test_every_known_key_accepted(self, runner, tmp_path):
+        cfg = {
+            "schema_version": 1, "model": {"rho": 0.05},
+            "space": {"D": 2, "T": 3, "C": 2, "m": 2},
+            "power": {"alpha": 0.05, "beta": 1.0, "delta": []},
+            "objective": {"w": 0.0, "criterion": "E"}, "design": {"m": 2},
+            "compare": {"m": 2}, "ce": {"seed": 1},
+            "sensitivity": {"steps": 2}, "analytic": {"op": "sequence-count"},
+            "candidate_cap": 1000,
+        }
+        assert set(cfg) == swdesign.cli.CONFIG_KEYS
+        path = write_json(tmp_path / "all.json", cfg)
+        result = runner.invoke(
+            main, ["search", "--config", path, "--out", str(tmp_path / "r")]
+        )
+        assert result.exit_code == 0, result.output
+
+    @pytest.mark.parametrize(
+        "command", ["evaluate", "search", "ce-search", "sensitivity",
+                    "analytic"],
+    )
+    def test_unknown_key_rejected_by_every_command(
+        self, runner, tmp_path, reference_csv, command
+    ):
+        path = reference_config(tmp_path, objectve={"w": 0.5})
+        args = [command, "--config", path, "--out", str(tmp_path / "r")]
+        if command == "evaluate":
+            args += ["--design", reference_csv]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 1
+        assert result.output.strip() == (
+            f"Error: {path}: unknown top-level key 'objectve'"
+        )
+
     def test_missing_space_C(self, runner, tmp_path):
         line = self.run_search(
             runner, tmp_path, lambda cfg: cfg["space"].pop("C")
@@ -302,17 +347,17 @@ class TestConfigErrors:
         assert "Error: power.delta has 1 entries" in result.output
 
 
-def test_cold_start_imports_neither_scipy_nor_multiprocessing(
-    tmp_path, reference_csv
-):
-    power = {"alpha": 0.05, "beta": 0.2, "delta": [1.5, 0.75],
-             "power_type": "combined"}
-    cfg = reference_config(tmp_path, power=power)
+def run_cold(args, heavy_prefixes):
+    """Run the CLI in a fresh interpreter.
+
+    Returns its stdout and the loaded modules under ``heavy_prefixes``,
+    listed once after ``import swdesign.cli`` and once after the command.
+    """
     script = (
         "import json, sys\n"
         "def heavy():\n"
-        "    return sorted(m for m in sys.modules if m.split('.')[0]\n"
-        "                  in ('scipy', 'multiprocessing'))\n"
+        "    return sorted(m for m in sys.modules\n"
+        f"                  if m.startswith({heavy_prefixes!r}))\n"
         "from swdesign.cli import main\n"
         "after_import = heavy()\n"
         "try:\n"
@@ -328,13 +373,60 @@ def test_cold_start_imports_neither_scipy_nor_multiprocessing(
         [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
     )
     proc = subprocess.run(
-        [sys.executable, "-c", script, "evaluate", "--config", cfg,
-         "--design", reference_csv, "--out", str(tmp_path / "run")],
+        [sys.executable, "-c", script, *args],
         env=env, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout.strip().splitlines()[-1]) == [[], []]
-    assert "P(reject any H0)" in proc.stdout
+    lines = proc.stdout.strip().splitlines()
+    return lines[:-1], json.loads(lines[-1])
+
+
+def test_cold_start_imports_neither_scipy_nor_multiprocessing(
+    tmp_path, reference_csv
+):
+    power = {"alpha": 0.05, "beta": 0.2, "delta": [1.5, 0.75],
+             "power_type": "combined"}
+    cfg = reference_config(tmp_path, power=power)
+    out, modules = run_cold(
+        ["evaluate", "--config", cfg, "--design", reference_csv,
+         "--out", str(tmp_path / "run")],
+        ("scipy", "multiprocessing"),
+    )
+    assert modules == [[], []]
+    assert any(line.startswith("P(reject any H0)") for line in out)
+
+
+#: The four-arm cross-entropy winner frozen by the benchmark (m = 8).
+FOUR_ARM_X = [[0, 0, 0, 0, 0, 0, 1, 1], [0, 0, 0, 1, 1, 1, 2, 2],
+              [0, 0, 1, 2, 3, 3, 3, 3], [1, 1, 1, 1, 2, 2, 2, 2],
+              [1, 1, 2, 2, 2, 3, 3, 3], [2, 2, 3, 3, 3, 3, 3, 3]]
+
+
+def test_four_arm_combined_power_is_seed_free_and_light(tmp_path):
+    # q = 3: the trivariate orthant needs no random numbers, no
+    # numpy.polynomial nodes and no scipy, and ignores the seed.
+    design = tmp_path / "four.csv"
+    write_design_csv(np.array(FOUR_ARM_X), design)
+    cfg = reference_config(
+        tmp_path, space={"D": 4},
+        power={"alpha": 0.05, "correction": "bonferroni", "beta": 0.2,
+               "delta": [1.5, 1.0, 0.75], "power_type": "combined"},
+    )
+    combined = []
+    for seed in ("0", "7"):
+        out, modules = run_cold(
+            ["evaluate", "--config", cfg, "--design", str(design),
+             "--seed", seed, "--out", str(tmp_path / f"run{seed}")],
+            ("numpy.random", "numpy.polynomial", "scipy"),
+        )
+        assert modules == [[], []]
+        combined += [line for line in out
+                     if line.startswith("P(reject any H0)")]
+    assert len(combined) == 2 and combined[0] == combined[1]
+    result = [json.loads((tmp_path / f"run{seed}" / "result.json")
+                         .read_text())["power"]["combined"]
+              for seed in ("0", "7")]
+    assert result[0] == result[1]
 
 
 class TestEvaluate:
@@ -555,6 +647,48 @@ class TestCeSearch:
         assert payload["status"] == "ok"
         assert payload["seed"] == 1
         assert (out / "design.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["search", "ce-search"])
+def test_winner_power_reported_once(runner, tmp_path, monkeypatch, command):
+    # The search result already carries the winner's power report; the
+    # command writes it rather than computing it again.
+    from swdesign import search as search_mod
+
+    real = search_mod.power_report
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(search_mod, "power_report", counted)
+    cfg = write_json(tmp_path / "four.json", {
+        "schema_version": 1, "model": {"rho": 0.05}, "design": {"m": 4},
+        "space": {"D": 4, "T": 4, "C": 3, "m": 4,
+                  "restrictions": ["monotone", "identifiable"]},
+        "power": {"alpha": 0.05, "beta": 0.2, "delta": [1.5, 1.0, 0.75]},
+        "objective": {"w": 0.0, "criterion": "A"},
+        "ce": {"population_size": 100, "max_iterations": 5},
+    })
+    out = tmp_path / "run"
+    result = runner.invoke(
+        main, [command, "--config", cfg, "--seed", "3", "--out", str(out)]
+    )
+    assert result.exit_code in (0, 3), result.output
+    assert len(calls) == 1
+    assert "P(reject any H0)" in result.output
+    # Evaluating the winner on its own reports the same power, byte for byte.
+    ev = tmp_path / "ev"
+    result = runner.invoke(
+        main, ["evaluate", "--config", cfg, "--design",
+               str(out / "design.csv"), "--seed", "3", "--out", str(ev)],
+    )
+    assert result.exit_code == 0, result.output
+    assert (ev / "table.csv").read_bytes() == (out / "table.csv").read_bytes()
+    payload = json.loads((out / "result.json").read_text())
+    assert payload["power"] == json.loads(
+        (ev / "result.json").read_text())["power"]
 
 
 class TestSensitivity:

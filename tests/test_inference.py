@@ -1,9 +1,13 @@
 """Inference tests: critical values, power, and the orthant integral."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import quad
+from scipy.special import ndtr
 from scipy.stats import multivariate_normal, norm
 
 from swdesign import (
@@ -14,7 +18,14 @@ from swdesign import (
     power_report,
     treatment_covariance,
 )
-from swdesign.inference import _ndtr, _ndtri, variance_limits
+from swdesign.inference import (
+    _bvn_upper,
+    _gauss_legendre,
+    _ndtr,
+    _ndtri,
+    _tvn_upper,
+    variance_limits,
+)
 from swdesign.model import CovarianceSummary
 
 
@@ -260,6 +271,197 @@ class TestOrthant:
         corr = np.eye(q)
         corr[0, 1] = corr[1, 0] = -(1.0 + 5e-11)
         assert 0.0 <= mvn_upper_orthant(np.zeros(q), np.zeros(q), corr) <= 1
+
+
+def test_gauss_legendre_table_is_leggauss():
+    t, w = np.polynomial.legendre.leggauss(20)
+    x, v = _gauss_legendre()
+    np.testing.assert_array_equal(x, 1.0 + t)
+    np.testing.assert_array_equal(v, w)
+
+
+# ---------------------------------------------------------------------------
+# The trivariate orthant
+# ---------------------------------------------------------------------------
+
+#: Index pairs of ``r = (r12, r13, r23)``.
+PAIRS = ((0, 1), (0, 2), (1, 2))
+
+
+def _corr3(r):
+    R = np.eye(3)
+    for (i, j), v in zip(PAIRS, r):
+        R[i, j] = R[j, i] = v
+    return R
+
+
+def _random_r(rng, kind):
+    """Correlations of one random 3 x 3 correlation matrix of a kind.
+
+    ``regular`` has smallest eigenvalue above about 0.02, ``near`` one
+    between about 1e-9 and 1e-2, ``singular`` rank two, and ``unit`` one
+    pair with correlation exactly +-1 at a random position.
+    """
+    if kind == "regular":
+        A = rng.standard_normal((3, 5))
+        S = A @ A.T + 0.1 * np.eye(3)
+    elif kind == "near":
+        A = rng.standard_normal((3, 2))
+        S = A @ A.T + 10.0 ** rng.uniform(-9, -2) * np.eye(3)
+    elif kind == "singular":
+        A = rng.standard_normal((3, 2))
+        S = A @ A.T
+    else:
+        s, c = rng.choice([-1.0, 1.0]), rng.uniform(-1.0, 1.0)
+        S = np.array([[1.0, c, s * c], [c, 1.0, s], [s * c, s, 1.0]])
+        p = rng.permutation(3)
+        S = S[np.ix_(p, p)]
+    d = np.sqrt(np.diag(S))
+    C = S / np.outer(d, d)
+    return [float(C[i, j]) for i, j in PAIRS]
+
+
+def _conditioning_reference(h, r):
+    """``P(X > h)`` by adaptive quadrature over one variable.
+
+    Conditioning on ``X_i = x`` leaves a bivariate normal; ``i`` is the
+    variable least correlated with the other two.  At conditional
+    correlation +-1 the bivariate probability has a kink where the two
+    conditional limits cross, which is passed to ``quad``.
+    """
+    R = _corr3(r)
+    i = min(range(3), key=lambda a: max(abs(R[a, b]) for b in range(3)
+                                       if b != a))
+    j, k = (a for a in range(3) if a != i)
+    sj, sk = math.sqrt(1 - R[i, j] ** 2), math.sqrt(1 - R[i, k] ** 2)
+    rho = min(max((R[j, k] - R[i, j] * R[i, k]) / (sj * sk), -1.0), 1.0)
+    aj, ak = R[i, j] / sj, R[i, k] / sk
+    top = max(h[i], 0.0) + 12.0
+    kinks = [(h[j] / sj - s * h[k] / sk) / (aj - s * ak)
+             for s in (1, -1) if abs(aj - s * ak) > 1e-12]
+    points = [x for x in kinks if h[i] < x < top] or None
+
+    def f(x):
+        return norm.pdf(x) * _bvn_upper(
+            (h[j] - R[i, j] * x) / sj, (h[k] - R[i, k] * x) / sk, rho
+        )
+
+    return quad(f, h[i], top, points=points, epsabs=1e-13, epsrel=1e-13,
+                limit=500)[0]
+
+
+def _plackett_reference(h, r):
+    """``P(X > h)`` by adaptive quadrature of Plackett's identity.
+
+    Scalar code with breakpoints toward ``t = 1``, where a singular matrix
+    makes the conditional variances vanish; needs ``|r23| < 1`` after the
+    largest correlation is moved to the pair (2, 3).
+    """
+    order = [(2, 0, 1), (1, 0, 2), (0, 1, 2)][int(np.argmax(np.abs(r)))]
+    R = _corr3(r)[np.ix_(order, order)]
+    h1, h2, h3 = (h[a] for a in order)
+    r12, r13, r23 = R[0, 1], R[0, 2], R[1, 2]
+
+    def phi2(x, y, c):
+        return math.exp(-(x * x - 2 * c * x * y + y * y) / (2 * (1 - c * c))) \
+            / (2 * math.pi * math.sqrt(1 - c * c))
+
+    def cond(num, var):
+        return ndtr(num / math.sqrt(var)) if var > 0 else float(num > 0)
+
+    def g(t):
+        a, b = t * r12, t * r13
+        det = 1 - a * a - b * b - r23 * r23 + 2 * a * b * r23
+        return (
+            r12 * phi2(h1, h2, a) * cond(
+                (b - a * r23) * h1 + (r23 - a * b) * h2 - (1 - a * a) * h3,
+                det * (1 - a * a))
+            + r13 * phi2(h1, h3, b) * cond(
+                (a - b * r23) * h1 + (r23 - a * b) * h3 - (1 - b * b) * h2,
+                det * (1 - b * b))
+        )
+
+    points = [1 - 10.0 ** -k for k in range(1, 15)]
+    integral = quad(g, 0, 1, points=points, epsabs=1e-13, epsrel=1e-13,
+                    limit=1000)[0]
+    return ndtr(-h1) * _bvn_upper(h2, h3, r23) + integral
+
+
+# At a singular matrix the reference integrand is a step at t = 1, which
+# quad reports as bad behaviour; its result is still accurate to 1e-13.
+@pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+class TestTrivariate:
+    @pytest.mark.parametrize("kind", ["regular", "unit", "singular"])
+    def test_matches_conditioning_integral(self, kind):
+        rng = np.random.default_rng(["regular", "unit", "singular"]
+                                    .index(kind))
+        for _ in range(60):
+            r = _random_r(rng, kind)
+            h = rng.uniform(-2.5, 2.5, size=3).tolist()
+            want = _conditioning_reference(h, r)
+            assert abs(_tvn_upper(h, r) - want) <= 1e-10, (h, r)
+
+    @pytest.mark.parametrize("kind", ["regular", "near", "singular"])
+    def test_matches_adaptive_plackett_integral(self, kind):
+        # Near-singular matrices defeat the conditioning integral's quad
+        # (errors near 1e-9) but not this one.
+        rng = np.random.default_rng(10 + ["regular", "near", "singular"]
+                                    .index(kind))
+        for _ in range(60):
+            r = _random_r(rng, kind)
+            h = rng.uniform(-2.5, 2.5, size=3).tolist()
+            want = _plackett_reference(h, r)
+            assert abs(_tvn_upper(h, r) - want) <= 1e-10, (h, r)
+
+    def test_thin_boundary_layer_of_a_singular_matrix(self):
+        # Rank two, with h3 within delta of the value at which X3 given
+        # X1 = h1, X2 = h2 is degenerate at h3: the conditional probability
+        # jumps over a width of about delta^2 next to t = 1.
+        rng = np.random.default_rng(12)
+        r12, r13, r23 = _random_r(rng, "singular")
+        while abs(r23) < max(abs(r12), abs(r13)):
+            r12, r13, r23 = _random_r(rng, "singular")
+        h1, h2 = rng.uniform(-1.0, 1.0, size=2)
+        for delta in np.logspace(-1.5, -6, 10):
+            for s in (1.0, -1.0):
+                h3 = ((r13 - r12 * r23) * h1 + (r23 - r12 * r13) * h2
+                      - s * delta) / (1 - r12 ** 2)
+                h = [h1, h2, h3]
+                want = _plackett_reference(h, [r12, r13, r23])
+                got = _tvn_upper(h, [r12, r13, r23])
+                assert abs(got - want) <= 1e-10, (h, delta)
+
+    @pytest.mark.parametrize("kind", ["regular", "near", "singular", "unit"])
+    def test_zero_limits_closed_form(self, kind):
+        rng = np.random.default_rng(20)
+        for _ in range(50):
+            r = _random_r(rng, kind)
+            want = 0.125 + sum(math.asin(v) for v in r) / (4 * math.pi)
+            assert abs(_tvn_upper([0.0, 0.0, 0.0], r) - want) <= 1e-12, r
+
+    @pytest.mark.parametrize("pair", [0, 1, 2])
+    def test_one_independent_variable_factorizes(self, pair):
+        # Only the correlation of ``pair`` is non-zero; the third variable
+        # is independent of the other two.
+        rng = np.random.default_rng(30 + pair)
+        i, j = PAIRS[pair]
+        k = 3 - i - j
+        for _ in range(50):
+            r = [0.0, 0.0, 0.0]
+            r[pair] = rng.uniform(-0.999, 0.999)
+            h = rng.uniform(-3.0, 3.0, size=3)
+            want = norm.sf(h[k]) * multivariate_normal.cdf(
+                [-h[i], -h[j]], cov=[[1.0, r[pair]], [r[pair], 1.0]])
+            assert abs(_tvn_upper(h.tolist(), r) - want) <= 1e-12, (h, r)
+
+    def test_orthant_ignores_seed(self):
+        corr = _corr3([0.45, -0.2, 0.6])
+        values = {
+            mvn_upper_orthant([0.2, 1.1, -0.4], [0.1, -0.3, 0.2], corr,
+                              seed=s)
+            for s in range(5)
+        }
+        assert len(values) == 1
 
 
 # ---------------------------------------------------------------------------
