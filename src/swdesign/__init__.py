@@ -25,9 +25,6 @@ from .designspace import (
     MonotoneNondecreasing,
     Restriction,
     StartControlEndTreatment,
-    check_restrictions,
-    count_candidates,
-    enumerate_designs,
     enumerate_sequences,
     restriction_from_name,
 )

@@ -22,7 +22,9 @@ reproduced byte for byte (timestamps live in a separate metadata file).
 
 from __future__ import annotations
 
+import dataclasses
 import json
+import math
 import os
 import sys
 import time
@@ -51,12 +53,28 @@ from .search import (
 SCHEMA_VERSION = 1
 EXIT_NO_ADMISSIBLE = 3
 
-#: Top-level config keys; any other one, a misspelt block name say, is an
-#: error rather than silently ignored.
-CONFIG_KEYS = frozenset({
-    "schema_version", "model", "space", "power", "objective", "design",
-    "compare", "ce", "sensitivity", "analytic", "candidate_cap",
-})
+#: Keys of each config object, by JSON path: :func:`_section` checks a
+#: top-level block and the builders the nested objects, so any other key,
+#: a misspelt one say, is an error rather than silently ignored.
+BLOCK_KEYS = {name: frozenset(keys.split()) for name, keys in {
+    "model": "rho rho0 rho1 rho2 sigma2 sigma2_c sigma2_theta sigma2_s "
+             "sigma2_eps",
+    "space": "D T C m restrictions",
+    "space.m": "min budget",
+    "space.restrictions[i]": "allowed_sequences label",
+    "power": "alpha correction beta delta power_type",
+    "objective": "w criterion",
+    "design": "m",
+    "compare": "m",
+    "ce": " ".join(f.name for f in dataclasses.fields(CEParams)),
+    "sensitivity": "sigma2_c_range sigma2_eps_range steps",
+    "analytic": "op m T rho E rho0 rho1 rho2 p_bar",
+}.items()}
+
+#: Top-level config keys: the blocks and two scalars.
+CONFIG_KEYS = frozenset({"schema_version", "candidate_cap"}).union(
+    name for name in BLOCK_KEYS if "." not in name
+)
 
 __all__ = ["main", "read_design_csv", "write_design_csv", "load_config"]
 
@@ -122,12 +140,33 @@ def _section(cfg: dict, key: str, required: bool = False) -> dict:
     block = _required(cfg, key) if required else cfg.get(key) or {}
     if not isinstance(block, dict):
         raise click.ClickException(f"{key} must be an object, got {block!r}")
+    _known(block, key)
     return block
+
+
+def _known(block: dict, path: str, name: str = "") -> None:
+    """One-line error naming each key of ``block`` outside BLOCK_KEYS[path].
+
+    ``name`` is the object's JSON path where it differs from ``path``.
+    """
+    unknown = sorted(set(block) - BLOCK_KEYS[path])
+    if unknown:
+        # The keys of ce are CEParams keyword arguments; say so in Python's
+        # words, which existing callers match.
+        hint = (f": unexpected keyword argument {unknown[0]!r} of CEParams"
+                if path == "ce" else "")
+        raise click.ClickException("unknown key " + ", ".join(
+            repr(f"{name or path}.{key}") for key in unknown) + hint)
 
 
 def _number(value, name: str):
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise click.ClickException(f"{name} must be a number, got {value!r}")
+    if not math.isfinite(value):
+        # JSON parsing accepts NaN and Infinity.
+        raise click.ClickException(
+            f"{name} must be a finite number, got {value!r}"
+        )
     return value
 
 
@@ -195,6 +234,7 @@ def _build_restrictions(names) -> tuple:
             except ValueError as exc:
                 raise click.ClickException(f"{field}: {exc}") from None
         elif isinstance(item, dict) and "allowed_sequences" in item:
+            _known(item, "space.restrictions[i]", field)
             allowed = _list(item["allowed_sequences"],
                             f"{field}.allowed_sequences")
             out.append(
@@ -230,6 +270,7 @@ def _build_space(cfg: dict) -> DesignSpace:
     m_block = _required(block, "m", "space")
     try:
         if isinstance(m_block, dict):
+            _known(m_block, "space.m")
             budget = _required(m_block, "budget", "space.m")
             return DesignSpace.budgeted(
                 T_values, C_values,
@@ -247,14 +288,17 @@ def _build_power(block: dict, q: int) -> PowerSpec:
     """Power settings for ``q`` treatment effects.
 
     ``delta`` must have ``q`` entries when a power requirement is set
-    (``beta < 1``) or a ``delta`` is given at all.
+    (``beta < 1``) or a ``delta`` is given at all; a number is one entry.
     """
+    delta = block.get("delta", [])
+    delta = ([_number(v, f"power.delta[{i}]") for i, v in enumerate(delta)]
+             if isinstance(delta, list) else [_number(delta, "power.delta")])
     try:
         spec = PowerSpec(
             alpha=_number(block.get("alpha", 0.05), "power.alpha"),
             correction=block.get("correction", "bonferroni"),
             beta=_number(block.get("beta", 1.0), "power.beta"),
-            delta=block.get("delta", []),
+            delta=delta,
             power_type=block.get("power_type", "individual"),
         )
     except ValueError as exc:
@@ -297,6 +341,9 @@ def load_config(path) -> dict:
         raise click.ClickException(
             f"{path}: unknown top-level key {', '.join(map(repr, unknown))}"
         )
+    for name in BLOCK_KEYS:
+        if name in CONFIG_KEYS:
+            _section(cfg, name)
     return cfg
 
 
@@ -572,8 +619,7 @@ def ce_search(config_path, seed, out):
         fields["seed"] = seed
     try:
         params = CEParams(**fields)
-    except (TypeError, ValueError) as exc:
-        # TypeError: a key that is not a CEParams field.
+    except ValueError as exc:
         raise click.ClickException(f"ce: {exc}") from None
     result = cross_entropy_search(
         C, T, m, space.D, space.restrictions, vc, objective, spec, params
@@ -692,41 +738,44 @@ def analytic(config_path, design_path, out):
     op = block["op"]
 
     def arg(key):
-        return _required(block, key, "analytic")
+        return _number(_required(block, key, "analytic"), f"analytic.{key}")
 
-    if op == "cluster-mean-correlation":
-        value = analytic_mod.cluster_mean_correlation(
-            arg("m"), arg("T"), arg("rho")
-        )
-    elif op == "rho-from-E":
-        value = analytic_mod.rho_from_E(arg("m"), arg("T"), arg("E"))
-    elif op == "sequence-count":
-        value = analytic_mod.optimal_sequence_count(arg("E"))
-    elif op == "li-proportions":
-        res = analytic_mod.li_optimal_proportions(
-            arg("m"), arg("T"), arg("rho0"), arg("rho1"), arg("rho2")
-        )
-        value = {
-            "p": [float(v) for v in res.p],
-            "psi": res.psi,
-            "xi": res.xi,
-            "gamma": res.gamma,
-        }
-    elif op == "empirical-proportions":
-        if not design_path:
-            raise click.ClickException(
-                "empirical-proportions requires --design"
+    try:
+        if op == "cluster-mean-correlation":
+            value = analytic_mod.cluster_mean_correlation(
+                arg("m"), arg("T"), arg("rho")
             )
-        value = [
-            float(v)
-            for v in analytic_mod.empirical_proportions(
-                read_design_csv(design_path)
+        elif op == "rho-from-E":
+            value = analytic_mod.rho_from_E(arg("m"), arg("T"), arg("E"))
+        elif op == "sequence-count":
+            value = analytic_mod.optimal_sequence_count(arg("E"))
+        elif op == "li-proportions":
+            res = analytic_mod.li_optimal_proportions(
+                arg("m"), arg("T"), arg("rho0"), arg("rho1"), arg("rho2")
             )
-        ]
-    elif op == "binary-residual-variance":
-        value = analytic_mod.binary_residual_variance(arg("p_bar"))
-    else:
-        raise click.ClickException(f"unknown analytic op {op!r}")
+            value = {
+                "p": [float(v) for v in res.p],
+                "psi": res.psi,
+                "xi": res.xi,
+                "gamma": res.gamma,
+            }
+        elif op == "empirical-proportions":
+            if not design_path:
+                raise click.ClickException(
+                    "empirical-proportions requires --design"
+                )
+            value = [
+                float(v)
+                for v in analytic_mod.empirical_proportions(
+                    read_design_csv(design_path)
+                )
+            ]
+        elif op == "binary-residual-variance":
+            value = analytic_mod.binary_residual_variance(arg("p_bar"))
+        else:
+            raise click.ClickException(f"unknown analytic op {op!r}")
+    except ValueError as exc:
+        raise click.ClickException(f"analytic: {exc}") from None
     click.echo(json.dumps({"op": op, "value": value}, sort_keys=True))
     run_dir = _run_dir(out, config_path, "analytic")
     _dump_json(cfg, run_dir / "config.json")

@@ -8,10 +8,10 @@ a whitelist of allowed sequences) are pushed into sequence enumeration;
 matrix-level restrictions (identifiability, equal allocation across
 sequences) are applied as filters.
 
-Allocation matrices are enumerated in canonical form with rows sorted
+Allocation matrices are searched in canonical form with rows sorted
 lexicographically: the treatment-effect covariance is invariant to cluster
 ordering, so designs whose rows agree as multisets are equivalent and only
-one representative is visited.
+one representative is visited (:mod:`swdesign.search` enumerates them).
 """
 
 from __future__ import annotations
@@ -19,11 +19,8 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from dataclasses import dataclass, field
-from math import comb
 
 import numpy as np
-
-from .model import Design, VarianceComponents, is_identifiable
 
 __all__ = [
     "Restriction",
@@ -37,9 +34,6 @@ __all__ = [
     "DesignSpace",
     "equal_allocation",
     "enumerate_sequences",
-    "enumerate_designs",
-    "check_restrictions",
-    "count_candidates",
 ]
 
 
@@ -295,53 +289,3 @@ def enumerate_sequences(T: int, D: int, restrictions) -> list[tuple[int, ...]]:
     return [
         seq for seq in pool if all(r.row_ok(seq, D) for r in row_checks)
     ]
-
-
-def check_restrictions(X, restrictions, D: int) -> bool:
-    """Whether an allocation matrix satisfies every restriction.
-
-    The identifiability restriction is ignored here (it depends on the
-    variance components); use :func:`swdesign.model.is_identifiable`.
-    """
-    X = np.asarray(X, dtype=int)
-    for r in restrictions:
-        if hasattr(r, "row_ok"):
-            if not all(r.row_ok(tuple(row), D) for row in X):
-                return False
-        if hasattr(r, "matrix_ok"):
-            if not r.matrix_ok(X):
-                return False
-    return True
-
-
-def count_candidates(space: DesignSpace) -> int:
-    """Raw number of canonical allocation matrices before matrix filters."""
-    total = 0
-    for T, C, m in space.blocks():
-        n = len(enumerate_sequences(T, space.D, space.restrictions))
-        total += comb(n + C - 1, C)
-    return total
-
-
-def enumerate_designs(space: DesignSpace, vc: VarianceComponents):
-    """Yield every admissible design exactly once, canonically and in order.
-
-    Designs are produced block by block over ``(T, C, m)``; within a block,
-    allocation matrices are the size-``C`` multisets of the sequence pool in
-    lexicographic order, so rows arrive already sorted.  Matrix-level
-    restrictions and, when requested, identifiability under ``vc`` are
-    applied as filters.  Two runs yield identical streams.
-    """
-    check_ident = space.requires_identifiable()
-    equal_alloc = space.requires_equal_allocation()
-    for T, C, m in space.blocks():
-        seqs = enumerate_sequences(T, space.D, space.restrictions)
-        if not seqs:
-            continue
-        for combo in itertools.combinations_with_replacement(seqs, C):
-            if equal_alloc and not EqualSequenceAllocation().matrix_ok(combo):
-                continue
-            design = Design(m, C, T, np.array(combo, dtype=int), space.D)
-            if check_ident and not is_identifiable(design, vc):
-                continue
-            yield design

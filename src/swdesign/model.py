@@ -43,6 +43,7 @@ __all__ = [
     "sequence_block",
     "mean_precision",
     "sequence_contributions",
+    "sequence_statistics",
     "kernel_sums",
     "covariance_kernel",
     "information_matrix",
@@ -367,12 +368,33 @@ def sequence_contributions(
     return _cached_contributions(key, T, D)
 
 
-def kernel_sums(counts: np.ndarray, contributions):
+def sequence_statistics(contributions) -> np.ndarray:
+    """``F x n`` per-sequence statistics whose column sums give kernel sums.
+
+    Column ``s`` stacks ``Z_s'`` (``q * T`` entries), ``Z_s'Z_s`` and
+    ``(Z_s'1)(1'Z_s)`` (``q * q`` each), ``Z_s'1`` (``q``) and a one, from
+    :func:`sequence_contributions`.  Every entry is a small integer, so any
+    sum of columns is exact in float64 whatever its order: a candidate's
+    raw sums are the same bits however they are accumulated.
+    """
+    Z, ZtZ, Zt1 = contributions
+    n, T, q = Z.shape
+    return np.concatenate([
+        Z.transpose(0, 2, 1).reshape(n, q * T),
+        ZtZ.reshape(n, q * q),
+        (Zt1[:, :, None] * Zt1[:, None, :]).reshape(n, q * q),
+        Zt1,
+        np.ones((n, 1)),
+    ], axis=1).T.copy()
+
+
+def kernel_sums(raw: np.ndarray, T: int, q: int):
     """``m``- and variance-free sums ``(P, Q, scale)`` of candidates.
 
-    Row ``k`` of ``counts`` holds the multiplicities ``c_s`` of the
-    sequences of ``contributions`` (:func:`sequence_contributions`) in
-    candidate ``k``.  With ``Zbar = sum_s c_s Z_s`` and ``C = sum_s c_s``,
+    Column ``k`` of ``raw`` sums the :func:`sequence_statistics` columns of
+    candidate ``k``'s rows, so it holds ``Zbar = sum_s c_s Z_s``,
+    ``sum_s c_s Z_s'Z_s``, ``sum_s c_s (Z_s'1)(1'Z_s)``, ``Zbar'1`` and
+    ``C = sum_s c_s`` for the multiplicities ``c_s`` of its sequences.  Then
 
         P = sum_s c_s Z_s'Z_s - Zbar'Zbar / C
         Q = sum_s c_s (Z_s'1)(1'Z_s) - (Zbar'1)(1'Zbar) / C
@@ -383,24 +405,14 @@ def kernel_sums(counts: np.ndarray, contributions):
     ``P`` and ``Q`` are ``q x q x k`` arrays of entry vectors: ``P[i, j]``
     is the contiguous length-``k`` vector of entry ``(i, j)`` over the
     candidates, so the kernel works entry by entry with no per-matrix
-    call.  ``scale`` has length ``k``.  Every count-weighted sum comes from
-    one matrix product; the entries ``i <= j`` of the ``1 / C`` corrections
-    take one product each and are mirrored below the diagonal.
+    call.  ``scale`` has length ``k``.  ``P`` and ``Q`` are views of
+    ``raw``, which is overwritten; the entries ``i <= j`` of the ``1 / C``
+    corrections take one product each and are mirrored below the diagonal.
     """
-    Z, ZtZ, Zt1 = contributions
-    n, T, q = Z.shape
-    per_seq = np.concatenate([
-        Z.transpose(0, 2, 1).reshape(n, q * T),
-        ZtZ.reshape(n, q * q),
-        (Zt1[:, :, None] * Zt1[:, None, :]).reshape(n, q * q),
-        Zt1,
-        np.ones((n, 1)),
-    ], axis=1)
-    sums = per_seq.T @ counts.T
-    Zbar = sums[: q * T].reshape(q, T, -1)
-    P = sums[q * T: q * (T + q)].reshape(q, q, -1)
-    Q = sums[q * (T + q): q * (T + 2 * q)].reshape(q, q, -1)
-    Zbar1, C = sums[q * (T + 2 * q): -1], sums[-1]
+    Zbar = raw[: q * T].reshape(q, T, -1)
+    P = raw[q * T: q * (T + q)].reshape(q, q, -1)
+    Q = raw[q * (T + q): q * (T + 2 * q)].reshape(q, q, -1)
+    Zbar1, C = raw[q * (T + 2 * q): -1], raw[-1]
     for i in range(q):
         for j in range(i, q):
             P[i, j] -= np.einsum("tk,tk->k", Zbar[i], Zbar[j]) / C
@@ -529,10 +541,10 @@ def _rank_deficient_labels(M: np.ndarray, T: int, D: int) -> list[str]:
 def _design_kernel(design: Design, vc: VarianceComponents):
     """:func:`covariance_kernel` of one design over its distinct rows."""
     seqs, counts = np.unique(design.X, axis=0, return_counts=True)
-    sums = kernel_sums(
-        counts[None, :].astype(float),
-        sequence_contributions(seqs, design.T, design.D),
+    stats = sequence_statistics(
+        sequence_contributions(seqs, design.T, design.D)
     )
+    sums = kernel_sums(stats @ counts[:, None], design.T, design.q)
     ident, Lambda = covariance_kernel(sums, design.T, design.m, vc)
     return ident[0], Lambda
 

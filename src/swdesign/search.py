@@ -18,7 +18,9 @@ within a ``(T, C)`` block each is a multiset of rows from one sequence pool,
 and its ``Lambda_q`` follows in closed form from count-weighted sums that
 depend on neither ``m`` nor the variances (:mod:`swdesign.model`).  Each
 chunk of a block is enumerated and summed once, then finished for every
-``m`` and, in the sensitivity maps, every grid point.  A cross-entropy
+``m`` and, in the sensitivity maps, every grid point.  Chunks are sums of
+prefixes and the rows of a per-block table of suffixes, both held within a
+fixed byte budget, so memory stays bounded whatever the space.  A cross-entropy
 stochastic search covers spaces too large to enumerate; all searches share
 that kernel and the power-feasibility test.
 """
@@ -49,6 +51,7 @@ from .model import (
     covariance_kernel,
     kernel_sums,
     sequence_contributions,
+    sequence_statistics,
     treatment_covariance,
 )
 
@@ -74,8 +77,10 @@ __all__ = [
     "variance_ratio_map",
 ]
 
-#: Number of candidate allocation matrices evaluated per batch.
-_CHUNK = 200_000
+#: Bytes that a block's suffix table, and the raw sums and counts of one
+#: chunk of its candidates, may each take.  It bounds the scan's memory
+#: whatever the size of the space.
+_BUDGET = 1 << 22
 
 #: Relative tolerance under which two criterion (or objective) values are
 #: treated as tied.  Symmetric allocation matrices can attain exactly equal
@@ -285,24 +290,144 @@ def evaluate_design(
 # ---------------------------------------------------------------------------
 
 
-def _combo_counts(
-    seqs: list, C: int, start: int, stop: int, equal_alloc: bool
-) -> np.ndarray:
-    """Count matrix of multiset candidates ``start..stop`` of a block.
+def _plan(n: int, T: int, q: int, C: int, cap: int | None = None):
+    """``(s, cap)``: suffix length and chunk size of a block of ``n`` rows.
 
-    Row ``k`` holds the multiplicity of each sequence of ``seqs`` in the
-    ``k``-th combination of the lexicographic stream, after the
-    equal-allocation filter when active.
+    A candidate takes 8 bytes for each of its ``q (T + 2q + 1) + 1`` raw
+    sums (:func:`~swdesign.model.sequence_statistics`) and a count per
+    row, so ``cap`` of them fit ``_BUDGET``; ``s`` is the longest suffix
+    whose table of ``s``-multisets holds at most ``cap``.
     """
-    combos = itertools.islice(
-        itertools.combinations_with_replacement(range(len(seqs)), C),
-        start, stop,
+    if cap is None:
+        F = q * (T + 2 * q + 1) + 1
+        count_bytes = np.min_scalar_type(C).itemsize
+        cap = max(_BUDGET // (8 * F + n * count_bytes), 1)
+    s = next(s for s in range(C, -1, -1) if comb(n + s - 1, s) <= cap)
+    return s, cap
+
+
+def _prefixes(first: tuple, n: int):
+    """Nondecreasing index tuples over ``range(n)`` from ``first`` on.
+
+    The lexicographic successor raises the last index below ``n - 1`` and
+    repeats it to the end (Knuth, TAOCP 4A, 7.2.1.3).
+    """
+    p = list(first)
+    while True:
+        yield tuple(p)
+        i = len(p) - 1
+        while i >= 0 and p[i] == n - 1:
+            i -= 1
+        if i < 0:
+            return
+        p[i:] = [p[i] + 1] * (len(p) - i)
+
+
+def _tail_offsets(n: int, s: int) -> np.ndarray:
+    """Per ``j``, the rank of the first ``s``-multiset starting at ``j``.
+
+    In lexicographic order the ``s``-multisets of ``range(n)`` that start
+    at ``j`` or later are the last ``comb(n - j + s - 1, s)``.
+    """
+    size = comb(n + s - 1, s)
+    return np.array([size - comb(n - j + s - 1, s) for j in range(n)])
+
+
+def _group_prefixes(n: int, C: int, s: int, cap: int):
+    """``(first prefix, prefix count)`` of each chunk of a block.
+
+    A candidate is a prefix of ``C - s`` indices followed by a row of the
+    block's suffix table from the prefix's last index on.  Consecutive
+    prefixes share a chunk while it holds at most ``cap`` candidates.
+    """
+    tail = comb(n + s - 1, s) - _tail_offsets(n, s)
+    first, count, size = None, 0, 0
+    for p in _prefixes((0,) * (C - s), n):
+        k = int(tail[p[-1] if p else 0])
+        if count and size + k > cap:
+            yield first, count
+            count = size = 0
+        first = first if count else p
+        count += 1
+        size += k
+    yield first, count
+
+
+@functools.lru_cache(maxsize=1)
+def _suffix_table(seqs: tuple, T: int, D: int, s: int):
+    """``(stats, raw, counts)``: the ``s``-multisets of a sequence pool.
+
+    ``stats`` is :func:`~swdesign.model.sequence_statistics` of the pool,
+    ``raw`` the ``F x S`` raw sums and ``counts`` the ``S x n`` small-int
+    multiplicities of its ``s``-multisets in lexicographic order.  Those
+    starting at ``j`` are ``j`` followed by the previous size's table from
+    its first index ``j`` on.  Only the last block's table is kept.
+    """
+    stats = sequence_statistics(sequence_contributions(seqs, T, D))
+    n = len(seqs)
+    dtype = np.min_scalar_type(s)
+    raw, counts = np.zeros((len(stats), 1)), np.zeros((1, n), dtype)
+    for size in range(s):
+        offs = _tail_offsets(n, size)
+        ends = np.cumsum(raw.shape[1] - offs)
+        new_raw = np.empty((len(stats), ends[-1]))
+        new_counts = np.empty((ends[-1], n), dtype)
+        for j, (o, hi) in enumerate(zip(offs, ends)):
+            lo = hi - (raw.shape[1] - o)
+            np.add(raw[:, o:], stats[:, j:j + 1], out=new_raw[:, lo:hi])
+            new_counts[lo:hi] = counts[o:]
+            new_counts[lo:hi, j] += 1
+        raw, counts = new_raw, new_counts
+    for arr in (stats, raw, counts):
+        arr.setflags(write=False)
+    return stats, raw, counts
+
+
+def _combo_counts(job: dict):
+    """Raw sums of one chunk's candidates and the rows of any one of them.
+
+    The candidates with prefix ``p`` are the rows of the block's suffix
+    table from ``p``'s last index on, so their raw sums are the prefix's
+    plus those rows': one broadcast add per prefix, in stream order (the
+    lexicographic order of canonical rows).  The sums are integer-valued,
+    so they equal a count-matrix product bit for bit.  Under equal
+    allocation only the candidates that meet it are kept.  Returns the
+    ``F x k`` raw sums and ``rows_of(j)``, the rows of kept candidate ``j``.
+    """
+    seqs, n = job["seqs"], len(job["seqs"])
+    stats, table, table_counts = _suffix_table(
+        tuple(seqs), job["T"], job["D"], job["s"]
     )
-    idx = np.fromiter(
-        itertools.chain.from_iterable(combos), dtype=np.int64
-    ).reshape(-1, C)
-    counts = _row_counts(idx, len(seqs))
-    return counts[equal_allocation(counts)] if equal_alloc else counts
+    S = table.shape[1]
+    prefixes = [p for p, _ in zip(_prefixes(job["first"], n),
+                                  range(job["count"]))]
+    offs = _tail_offsets(n, job["s"])[[p[-1] if p else 0 for p in prefixes]]
+    ends = np.cumsum(S - offs)
+    raw = np.empty((len(stats), ends[-1]))
+    for p, o, hi in zip(prefixes, offs, ends):
+        np.add(table[:, o:], stats[:, list(p)].sum(axis=1, keepdims=True),
+               out=raw[:, hi - (S - o): hi])
+
+    def counts_of(i, rows):
+        # Prefix plus suffix counts reach C: add them in a type that holds
+        # C, not in bincount's int64.
+        return table_counts[rows] + np.bincount(
+            np.array(prefixes[i], dtype=int), minlength=n
+        ).astype(np.min_scalar_type(job["C"]))
+
+    kept = np.arange(raw.shape[1])
+    if job["equal_alloc"]:
+        kept = kept[np.concatenate([
+            equal_allocation(counts_of(i, slice(o, None)))
+            for i, o in enumerate(offs)
+        ])]
+        raw = raw[:, kept]
+
+    def rows_of(j):
+        i = int(np.searchsorted(ends, kept[j], side="right"))
+        return _counts_to_rows(counts_of(i, S - ends[i] + kept[j]), seqs)
+
+    return raw, rows_of
 
 
 def _row_counts(idx: np.ndarray, n: int) -> np.ndarray:
@@ -368,46 +493,61 @@ def _score(sums, T: int, m: int, vc, criterion, spec, seed: int):
             _power_feasible(Lambda, diag, spec, seed))
 
 
+def _merge_leaders(acc: list, later: list) -> list:
+    """Leaders ``acc`` of a stream of ``(criterion, ...)`` records extended.
+
+    A stream's champion is its first record within ``_TIE_RTOL`` of its
+    minimum.  Every record before it is larger, so it is a strict running
+    minimum; the leaders are those running minima, in stream order, within
+    tolerance of the minimum so far.  The first leader is the champion
+    however the stream is split into ``later`` parts.
+    """
+    out = list(acc)
+    for r in later:
+        if not out or r[0] < out[-1][0]:
+            out.append(r)
+    low = out[-1][0]
+    return [r for r in out if r[0] <= low + _TIE_RTOL * low]
+
+
 def _scan_chunk(job: dict) -> list:
     """Records of one chunk of a ``(T, C)`` block at every search setting.
 
     The chunk is enumerated and reduced to its kernel sums once.  Per ``vc``
-    and ``m`` the record is ``(n_evaluated, n_feasible, extrema, champion,
+    and ``m`` the record is ``(n_evaluated, n_feasible, extrema, feasible,
     unconstrained)``: the cost and criterion range over identifiable
-    candidates, and the feasible and the unconstrained champions.  A
-    champion is the first candidate in the stream, which is in lexicographic
-    order of canonical rows, within ``_TIE_RTOL`` of the minimal criterion.
+    candidates, and the :func:`_merge_leaders` of the feasible and of all
+    identifiable candidates as ``(crit, cost, (m, C, T), rows)`` records.
     """
-    seqs, C, T = job["seqs"], job["C"], job["T"]
-    counts = _combo_counts(
-        seqs, C, job["start"], job["stop"], job["equal_alloc"]
-    )
-    sums = kernel_sums(counts, sequence_contributions(seqs, T, job["D"]))
+    C, T = job["C"], job["T"]
+    raw, rows_of = _combo_counts(job)
+    k = raw.shape[1]
+    sums = kernel_sums(raw, T, job["D"] - 1)
 
     def record(vc, m):
         ident, crit, feasible = _score(
             sums, T, m, vc, job["criterion"], job["spec"], job["seed"]
         )
         if not crit.size:
-            return counts.shape[0], 0, None, None, None
+            return k, 0, None, [], []
         cost = float(m * C * T)
-        rows_of = np.nonzero(ident)[0]
+        rows_at = np.nonzero(ident)[0]
 
-        def pick(mask):
-            if not mask.any():
-                return None
-            vals = np.where(mask, crit, np.inf)
-            cmin = float(vals.min())
-            j = int(np.argmax(vals <= cmin + _TIE_RTOL * cmin))
-            rows = _counts_to_rows(counts[rows_of[j]], seqs)
-            return (float(crit[j]), cost, (m, C, T), rows)
+        def leaders(vals):
+            low = vals.min()
+            if not np.isfinite(low):
+                return []
+            near = np.nonzero(vals <= low + _TIE_RTOL * low)[0]
+            lead = _merge_leaders([], [(vals[j], j) for j in near])
+            return [(float(crit[j]), cost, (m, C, T), rows_of(rows_at[j]))
+                    for _, j in lead]
 
         return (
-            counts.shape[0],
+            k,
             int(feasible.sum()),
             (cost, float(crit.min()), float(crit.max())),
-            pick(feasible),
-            pick(np.ones(crit.shape, dtype=bool)),
+            leaders(np.where(feasible, crit, np.inf)),
+            leaders(crit),
         )
 
     return [[record(vc, m) for m in job["ms"]] for vc in job["vcs"]]
@@ -445,8 +585,11 @@ def _outcome(record, vc, D: int, spec, seed: int, **fields) -> SearchResult:
 def _result(records, vc, space, spec, objective, seed) -> SearchResult:
     """The winner among one ``vc``'s :func:`_scan_chunk` records.
 
-    The reduction is associative and commutative, so neither the worker
-    count nor the chunk order affects the outcome.
+    The records come in stream order.  Each ``(m, C, T)`` champion is the
+    first candidate within ``_TIE_RTOL`` of that block's minimum, whatever
+    the chunking (:func:`_merge_leaders`); the champions then compete under
+    :func:`_better` in block order, so neither the worker count nor the
+    chunk size affects the outcome.
     """
     extrema = [r[2] for r in records if r[2] is not None]
     fmin = min((e[0] for e in extrema), default=np.inf)
@@ -455,8 +598,16 @@ def _result(records, vc, space, spec, objective, seed) -> SearchResult:
     gmax = max((e[2] for e in extrema), default=-np.inf)
     scaling = dict(cost_min=fmin, cost_max=fmax,
                    criterion_min=gmin, criterion_max=gmax)
+    leaders: list[dict] = [{}, {}]
+    for r in records:
+        for store, later in zip(leaders, r[3:]):
+            if later:
+                key = later[0][2]
+                store[key] = _merge_leaders(store.get(key, []), later)
+    feasible, unconstrained = ([v[0] for v in store.values()]
+                               for store in leaders)
     champions: dict[float, tuple] = {}
-    for ch in (r[3] for r in records if r[3] is not None):
+    for ch in feasible:
         champions[ch[1]] = _better(champions.get(ch[1]), ch)
     n_evaluated = sum(r[0] for r in records)
     n_feasible = sum(r[1] for r in records)
@@ -473,7 +624,7 @@ def _result(records, vc, space, spec, objective, seed) -> SearchResult:
     ), None)
     status = "ok" if winner is not None else "no-admissible-design"
     record = winner[2] if winner else functools.reduce(
-        _better, (r[4] for r in records), None
+        _better, unconstrained, None
     )
     if record is None:
         nan = float("nan")
@@ -506,20 +657,15 @@ def _search(
         D=space.D, vcs=vcs, equal_alloc=space.requires_equal_allocation(),
         criterion=objective.criterion, spec=spec, seed=seed,
     )
-    jobs = []
-    total = 0
+    blocks = []
     for (T, C), triples in itertools.groupby(space.blocks(), lambda b: b[:2]):
-        ms = [m for _, _, m in triples]
         seqs = enumerate_sequences(T, space.D, space.restrictions)
-        if not seqs:
-            continue
-        n_combos = comb(len(seqs) + C - 1, C)
-        total += n_combos * len(ms)
-        jobs += [
-            dict(common, seqs=seqs, C=C, T=T, ms=ms, start=start,
-                 stop=min(start + _CHUNK, n_combos))
-            for start in range(0, n_combos, _CHUNK)
-        ]
+        if seqs:
+            blocks.append((T, C, [m for _, _, m in triples], seqs))
+    total = sum(comb(len(seqs) + C - 1, C) * len(ms)
+                for _, C, ms, seqs in blocks)
+    # Checked before any prefix is walked: a space far above the cap has
+    # far too many to walk.
     if total > candidate_cap:
         raise CandidateCapExceeded(
             f"space holds {total} candidates, above the cap of "
@@ -527,6 +673,13 @@ def _search(
             "this size"
         )
     _check_delta(spec, space.D)
+    jobs = (
+        dict(common, seqs=seqs, C=C, T=T, ms=ms, s=s, first=first,
+             count=count)
+        for T, C, ms, seqs in blocks
+        for s, cap in [_plan(len(seqs), T, space.D - 1, C)]
+        for first, count in _group_prefixes(len(seqs), C, s, cap)
+    )
 
     records = [[] for _ in vcs]
 
@@ -535,7 +688,7 @@ def _search(
             group.extend(chunk_records)
         if progress is not None:
             progress(sum(r[0] for r in records[0]), min(
-                (r[3][0] for r in records[0] if r[3] is not None),
+                (r[3][-1][0] for r in records[0] if r[3]),
                 default=float("nan"),
             ))
 
@@ -655,7 +808,7 @@ def cross_entropy_search(
         )
     n = len(seqs)
     _check_delta(spec, D)
-    contributions = sequence_contributions(seqs, T, D)
+    stats = sequence_statistics(sequence_contributions(seqs, T, D))
     rng = np.random.default_rng(params.seed)
     probs = np.full((C, n), 1.0 / n)
     n_elite = max(1, int(round(params.elite_fraction * params.population_size)))
@@ -671,7 +824,7 @@ def cross_entropy_search(
         n_evaluated += params.population_size
         counts = _row_counts(idx, n)
         ident, crit, feasible = _score(
-            kernel_sums(counts, contributions), T, m, vc,
+            kernel_sums(stats @ counts.T, T, D - 1), T, m, vc,
             objective.criterion, spec, params.seed,
         )
         raw = np.full(params.population_size, np.inf)

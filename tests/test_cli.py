@@ -171,6 +171,106 @@ class TestConfigErrors:
             f"Error: {path}: unknown top-level key 'objectve'"
         )
 
+    @pytest.mark.parametrize(
+        "block,key",
+        [("model", "rh0"), ("space", "restriction"), ("power", "power_typ"),
+         ("objective", "wt"), ("design", "M"), ("compare", "n"),
+         ("sensitivity", "step"), ("analytic", "rho_0")],
+    )
+    def test_unknown_block_key(self, runner, tmp_path, block, key):
+        line = self.run_search(
+            runner, tmp_path, lambda c: c.setdefault(block, {}).update(
+                {key: 1}
+            )
+        )
+        assert line.endswith(f"unknown key '{block}.{key}'")
+
+    @pytest.mark.parametrize(
+        "command", ["evaluate", "search", "ce-search", "sensitivity",
+                    "analytic"],
+    )
+    def test_unknown_block_key_rejected_by_every_command(
+        self, runner, tmp_path, reference_csv, command
+    ):
+        path = reference_config(
+            tmp_path, power={"beta": 0.2, "delta": [1.5, 0.75],
+                             "power_typ": "combined"},
+            model={"rho": 0.05, "rh0": 0.1},
+        )
+        args = [command, "--config", path, "--out", str(tmp_path / "r")]
+        if command == "evaluate":
+            args += ["--design", reference_csv]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 1
+        assert result.output.strip() == "Error: unknown key 'model.rh0'"
+
+    @pytest.mark.parametrize(
+        "edit,expected",
+        [
+            (lambda s: s.update(m={"min": 2, "budget": 9, "mn": 3}),
+             "unknown key 'space.m.mn'"),
+            (lambda s: s["restrictions"].append(
+                {"allowed_sequences": [[0, 0, 1]], "lable": "x"}),
+             "unknown key 'space.restrictions[2].lable'"),
+        ],
+        ids=["m-budget", "whitelist"],
+    )
+    def test_unknown_nested_key(self, runner, tmp_path, edit, expected):
+        line = self.run_search(runner, tmp_path, lambda c: edit(c["space"]))
+        assert line == f"Error: {expected}"
+
+    def test_unknown_ce_key_names_its_path(self, runner, tmp_path):
+        cfg = write_json(tmp_path / "ce.json", {
+            "schema_version": 1, "model": {"rho": 0.05},
+            "space": {"D": 2, "T": 3, "C": 3, "m": 2},
+            "ce": {"population_size": 20, "elite_frac": 0.2},
+        })
+        result = runner.invoke(
+            main, ["ce-search", "--config", cfg, "--out", str(tmp_path / "r")]
+        )
+        assert result.exit_code == 1
+        assert result.output.strip() == (
+            "Error: unknown key 'ce.elite_frac': unexpected keyword "
+            "argument 'elite_frac' of CEParams"
+        )
+
+    def test_scalar_delta_is_one_entry(self, runner, tmp_path):
+        def run(delta):
+            path = reference_config(
+                tmp_path, space={"D": 2, "T": 3, "C": 3, "m": 4},
+                power={"beta": 0.2, "delta": delta},
+            )
+            out = tmp_path / f"r{delta!r}"
+            result = runner.invoke(
+                main, ["search", "--config", path, "--out", str(out)]
+            )
+            assert result.exit_code == 0, result.output
+            return (out / "result.json").read_bytes()
+
+        assert run(1.5) == run([1.5])
+
+    @pytest.mark.parametrize(
+        "edit,expected",
+        [
+            (lambda c: c["power"].update(delta=[[1], [2]]),
+             "power.delta[0] must be a number, got [1]"),
+            (lambda c: c["power"].update(delta="1.5"),
+             "power.delta must be a number, got '1.5'"),
+            (lambda c: c["power"].update(delta=[float("nan"), 1]),
+             "power.delta[0] must be a finite number, got nan"),
+            (lambda c: c["model"].update(sigma2=float("inf")),
+             "model.sigma2 must be a finite number, got inf"),
+            (lambda c: c["objective"].update(w=float("nan")),
+             "objective.w must be a finite number, got nan"),
+            (lambda c: c["power"].update(alpha=float("-inf")),
+             "power.alpha must be a finite number, got -inf"),
+        ],
+        ids=["delta-nested", "delta-scalar", "delta-nan", "sigma2-inf",
+             "w-nan", "alpha-minus-inf"],
+    )
+    def test_bad_number(self, runner, tmp_path, edit, expected):
+        assert self.run_search(runner, tmp_path, edit) == f"Error: {expected}"
+
     def test_missing_space_C(self, runner, tmp_path):
         line = self.run_search(
             runner, tmp_path, lambda cfg: cfg["space"].pop("C")
@@ -738,7 +838,7 @@ class TestSensitivity:
         scan_chunk = search._scan_chunk
 
         def counted(job):
-            calls.append((job["T"], job["C"], job["start"]))
+            calls.append((job["T"], job["C"], job["first"]))
             return scan_chunk(job)
 
         monkeypatch.setattr(search, "_scan_chunk", counted)
@@ -761,7 +861,8 @@ class TestSensitivity:
         )
         assert result.exit_code == 0, result.output
         # One chunk per (T, C) block, each scanned once.
-        assert sorted(calls) == [(3, 3, 0), (3, 4, 0), (4, 3, 0), (4, 4, 0)]
+        assert sorted(calls) == [(3, 3, ()), (3, 4, ()), (4, 3, ()),
+                                 (4, 4, ())]
         # The same bytes as the ratio map computed from its own scan.
         space = DesignSpace.grid(
             [3, 4], [3, 4], [2], 2,
@@ -848,6 +949,25 @@ class TestAnalytic:
         assert result.output.strip().splitlines() == [
             "Error: analytic.E is required"
         ]
+
+    @pytest.mark.parametrize(
+        "block,expected",
+        [
+            ({"op": "cluster-mean-correlation", "m": "x", "T": 6,
+              "rho": 0.05}, "analytic.m must be a number, got 'x'"),
+            ({"op": "rho-from-E", "m": 10, "T": 6, "E": float("nan")},
+             "analytic.E must be a finite number, got nan"),
+            ({"op": "sequence-count", "E": 2},
+             "analytic: E must lie in [0, 1), got 2"),
+        ],
+        ids=["m-type", "E-nan", "E-range"],
+    )
+    def test_bad_operand(self, runner, tmp_path, block, expected):
+        cfg = write_json(tmp_path / "an.json",
+                         {"schema_version": 1, "analytic": block})
+        result = runner.invoke(main, ["analytic", "--config", cfg])
+        assert result.exit_code == 1
+        assert result.output.strip().splitlines() == [f"Error: {expected}"]
 
     def test_unknown_op(self, runner, tmp_path):
         cfg = write_json(

@@ -15,14 +15,12 @@ from swdesign import (
     MonotoneNondecreasing,
     StartControlEndTreatment,
     VarianceComponents,
-    check_restrictions,
-    count_candidates,
-    enumerate_designs,
     enumerate_sequences,
     restriction_from_name,
 )
 
 from conftest import X
+from enumeration import check_restrictions, count_candidates, enumerate_designs
 
 
 VC = VarianceComponents.from_rho(1.0, 0.05)

@@ -29,6 +29,8 @@ from swdesign.model import (
     sequence_contributions,
 )
 
+from enumeration import scan_block
+
 from conftest import REFERENCE_X, X
 
 
@@ -313,17 +315,15 @@ def test_kernel_matches_information_matrix_on_whole_space(
 ):
     from swdesign.designspace import enumerate_sequences, restriction_from_name
     from swdesign.model import RANK_RTOL, covariance_kernel, kernel_sums
-    from swdesign.search import _combo_counts
 
     seqs = enumerate_sequences(
         T, D, [restriction_from_name(n) for n in names]
     )
-    counts = _combo_counts(
-        seqs, C, 0, comb(len(seqs) + C - 1, C), equal
-    )
-    ident, Lambda = covariance_kernel(
-        kernel_sums(counts, sequence_contributions(seqs, T, D)), T, m, vc
-    )
+    # Chunks of at most 97 candidates, so the larger spaces split.
+    raw, counts, _ = scan_block(seqs, T, D, C, equal, cap=97)
+    if not equal:
+        assert len(counts) == comb(len(seqs) + C - 1, C)
+    ident, Lambda = covariance_kernel(kernel_sums(raw, T, D - 1), T, m, vc)
     M = _reference_information(counts, seqs, m, T, D, vc)
     vals = np.linalg.eigvalsh(M)
     np.testing.assert_array_equal(ident, vals[:, 0] > vals[:, -1] * RANK_RTOL)

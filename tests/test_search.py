@@ -1,6 +1,8 @@
 """Search tests: criteria, objectives, exhaustive and stochastic search."""
 
 import functools
+import itertools
+import tracemalloc
 from math import comb
 
 import numpy as np
@@ -26,7 +28,6 @@ from swdesign import (
     criterion_from_name,
     criterion_value,
     cross_entropy_search,
-    enumerate_designs,
     evaluate_design,
     exhaustive_search,
     sensitivity_map,
@@ -36,12 +37,19 @@ from swdesign import (
 )
 
 from swdesign import search
-from swdesign.designspace import enumerate_sequences
+from swdesign.designspace import enumerate_sequences, equal_allocation
 from swdesign.inference import critical_value, power_report, variance_limits
-from swdesign.model import RANK_RTOL, CovarianceSummary, information_matrix
+from swdesign.model import (
+    RANK_RTOL,
+    CovarianceSummary,
+    information_matrix,
+    sequence_contributions,
+    sequence_statistics,
+)
 from swdesign.search import _draw_rows
 
 from conftest import X, row_multiset
+from enumeration import enumerate_designs, scan_block
 
 
 VC = VarianceComponents.from_rho(1.0, 0.05)
@@ -294,22 +302,33 @@ class TestExhaustiveSearch:
         calls = []
         combo_counts = search._combo_counts
 
-        def counted(seqs, C, start, stop, equal_alloc):
-            calls.append((len(seqs), C, start, stop))
-            return combo_counts(seqs, C, start, stop, equal_alloc)
+        def counted(job):
+            raw, rows_of = combo_counts(job)
+            calls.append((job["T"], job["C"], raw.shape[1],
+                          rows_of(0), rows_of(raw.shape[1] - 1)))
+            return raw, rows_of
 
         monkeypatch.setattr(search, "_combo_counts", counted)
-        monkeypatch.setattr(search, "_CHUNK", 50)
+        # A candidate takes 8 bytes per raw sum and one per count: 146
+        # bytes at T = 3 and 167 at T = 4, so at most 54 in one chunk.
+        monkeypatch.setattr(search, "_BUDGET", 8000)
         exhaustive_search(
             BUDGETED, VC, NO_POWER, Objective(w=0.5, criterion=Eoptimal())
         )
         want = []
         for T, C in [(3, 2), (3, 3), (4, 2), (4, 3)]:
-            n = len(enumerate_sequences(T, 3, BUDGETED.restrictions))
-            total = comb(n + C - 1, C)
-            want += [(n, C, start, min(start + 50, total))
-                     for start in range(0, total, 50)]
+            seqs = enumerate_sequences(T, 3, BUDGETED.restrictions)
+            total = comb(len(seqs) + C - 1, C)
+            chunks = [c for c in calls if c[:2] == (T, C)]
+            # The chunks partition the block in stream order.
+            assert sum(c[2] for c in chunks) == total
+            assert chunks[0][3] == (seqs[0],) * C
+            assert chunks[-1][4] == (seqs[-1],) * C
+            assert all(a[4] < b[3] for a, b in zip(chunks, chunks[1:]))
+            want += chunks
         assert calls == want
+        assert max(c[2] for c in calls) <= 54
+        assert len(calls) > 4
 
     def test_combined_power_integrates_only_candidates_below_every_limit(
         self, monkeypatch
@@ -402,6 +421,20 @@ class TestExhaustiveSearch:
                 candidate_cap=100,
             )
 
+    def test_candidate_cap_refuses_before_walking_prefixes(self, monkeypatch):
+        # 28 monotone sequences and 20 clusters: comb(47, 20), about 1.5e13
+        # candidates and 1e12 prefixes, which no scan could walk.
+        walked = []
+        monkeypatch.setattr(search, "_group_prefixes",
+                            lambda *args: walked.append(args) or iter(()))
+        space = DesignSpace.single(20, 6, 2, 3, (MonotoneNondecreasing(),))
+        with pytest.raises(CandidateCapExceeded,
+                           match=f"space holds {comb(47, 20)} candidates"):
+            exhaustive_search(
+                space, VC, NO_POWER, Objective(w=0.0, criterion=Eoptimal())
+            )
+        assert walked == []
+
     def test_progress_callback(self):
         calls = []
         space = small_space()
@@ -435,20 +468,53 @@ class TestExhaustiveSearch:
         )
         obj = Objective(w=w, criterion=criterion)
 
-        def outcome(chunk):
-            monkeypatch.setattr(search, "_CHUNK", chunk)
+        def outcome(budget):
+            monkeypatch.setattr(search, "_BUDGET", budget)
             res = exhaustive_search(space, VC, spec, obj)
             return (
                 (res.best.m, res.best.C, res.best.T, res.best.sequences()),
                 res.criterion_value,
+                res.n_evaluated,
                 res.n_feasible,
                 res.scaling,
             )
 
-        want = outcome(200_000)
-        assert 0 < want[2] < 1980
-        for chunk in (1, 7, 64):
-            assert outcome(chunk) == want
+        want = outcome(search._BUDGET)
+        assert 0 < want[3] < 1980
+        # A candidate takes 146 bytes here: one candidate a chunk, then
+        # suffixes of up to 1, 2 and 3 of a candidate's (at most 4) rows.
+        for budget in (1, 2_000, 10_000, 40_000):
+            assert outcome(budget) == want
+
+    @pytest.mark.parametrize("budget", [1, None])
+    def test_tie_champion_is_first_within_tolerance_of_block_minimum(
+        self, monkeypatch, budget
+    ):
+        # 1 + 1.2 tau and 1 + 0.6 tau tie, 1 + 0.6 tau and 1 tie, but
+        # 1 + 1.2 tau and 1 do not: the champion is 1 + 0.6 tau, the first
+        # within tolerance of the minimum, in one chunk or one per candidate.
+        tau = search._TIE_RTOL
+        values = np.full(10, 3.0)
+        values[[1, 3, 4]] = [1 + 1.2 * tau, 1 + 0.6 * tau, 1.0]
+        seen = []
+
+        def fake_score(sums, T, m, vc, criterion, spec, seed):
+            k = sums[2].shape[0]
+            crit = values[len(seen): len(seen) + k]
+            seen.extend(crit)
+            return np.ones(k, dtype=bool), crit, np.ones(k, dtype=bool)
+
+        monkeypatch.setattr(search, "_score", fake_score)
+        if budget is not None:
+            monkeypatch.setattr(search, "_BUDGET", budget)
+        # Two clusters from the four sequences 000, 001, 011, 111.
+        res = exhaustive_search(
+            DesignSpace.single(2, 3, 2, 2, (MonotoneNondecreasing(),)), VC,
+            NO_POWER, Objective(w=0.0, criterion=Eoptimal()),
+        )
+        assert len(seen) == 10
+        assert res.criterion_value == 1 + 0.6 * tau
+        assert res.best.sequences() == ((0, 0, 0), (1, 1, 1))
 
     def test_power_feasibility_filters(self):
         space = small_space(C=4, T=4, m=4, D=2)
@@ -461,6 +527,113 @@ class TestExhaustiveSearch:
         assert res.status == "ok"
         assert res.power is not None
         assert res.power.individual >= 1 - spec.beta
+
+
+#: Sequence pools of 1, 4, 8 and 10 sequences.
+POOLS = [
+    (2, 2, (CustomPredicate("one", ((0, 1),)),)),
+    (3, 2, (MonotoneNondecreasing(),)),
+    (3, 2, ()),
+    (3, 3, (MonotoneNondecreasing(),)),
+]
+
+
+class TestChunkStream:
+    """The prefix/suffix-table enumeration against itertools."""
+
+    @pytest.mark.parametrize("equal_alloc", [False, True])
+    @pytest.mark.parametrize("C", [2, 3, 5])
+    @pytest.mark.parametrize("T,D,restrictions", POOLS)
+    def test_every_split_streams_itertools_order(self, T, D, restrictions,
+                                                 C, equal_alloc):
+        seqs = enumerate_sequences(T, D, restrictions)
+        n = len(seqs)
+        want = np.array([
+            np.bincount(combo, minlength=n)
+            for combo in itertools.combinations_with_replacement(range(n), C)
+        ], dtype=float)
+        if equal_alloc:
+            want = want[equal_allocation(want)]
+        stats = sequence_statistics(sequence_contributions(seqs, T, D))
+        want_raw = stats @ want.T
+        for s in range(C + 1):
+            for cap in (1, 7, 10**9):
+                raw, counts, sizes = scan_block(seqs, T, D, C, equal_alloc,
+                                                s=s, cap=cap)
+                np.testing.assert_array_equal(counts, want)
+                # Bit for bit the count-matrix product.
+                assert raw.tobytes() == want_raw.tobytes()
+                if cap == 1 and s == 0:
+                    assert max(sizes) == 1
+
+    def test_multiplicities_above_a_byte(self):
+        # Two sequences and 300 clusters: 301 candidates, counts up to 300.
+        seqs = [(0, 0), (0, 1)]
+        want = np.array([(300 - i, i) for i in range(301)], dtype=float)
+        for s in (300, 150, 0):
+            _, counts, _ = scan_block(seqs, 2, 2, 300, s=s)
+            np.testing.assert_array_equal(counts, want)
+
+    def test_equal_allocation_leaves_empty_chunks(self, monkeypatch):
+        space = DesignSpace.grid(
+            [3], [2, 3, 4], [2, 3], 3,
+            (MonotoneNondecreasing(), Identifiable(),
+             EqualSequenceAllocation()),
+        )
+        spec = PowerSpec(alpha=0.05, beta=0.5, delta=[2.0, 1.5])
+        obj = Objective(w=0.5, criterion=Aoptimal())
+
+        def outcome():
+            res = exhaustive_search(space, VC, spec, obj)
+            return (res.best.sequences(), res.criterion_value,
+                    res.n_evaluated, res.n_feasible, res.scaling)
+
+        want = outcome()
+        # One candidate a chunk: most chunks keep none.
+        monkeypatch.setattr(search, "_BUDGET", 1)
+        assert outcome() == want
+        # Every equal-allocation candidate is evaluated, at each of two m.
+        unfiltered = DesignSpace.grid(
+            [3], [2, 3, 4], [2], 3,
+            (MonotoneNondecreasing(), EqualSequenceAllocation()),
+        )
+        assert want[2] == 2 * sum(1 for _ in enumerate_designs(unfiltered, VC))
+
+    def test_equal_allocation_counts_stay_small_ints(self):
+        # 1,024 sequences: a prefix's candidates are up to 1,024 table
+        # rows, whose counts take 1 MiB as bytes but 8 MiB as int64.
+        seqs = enumerate_sequences(10, 2, ())
+        s, cap = search._plan(len(seqs), 10, 1, 2)
+        first, count = next(search._group_prefixes(len(seqs), 2, s, cap))
+        search._suffix_table.cache_clear()
+        tracemalloc.start()
+        try:
+            raw, _ = search._combo_counts(dict(
+                seqs=seqs, T=10, D=2, C=2, s=s, first=first, count=count,
+                equal_alloc=True,
+            ))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (s, count, raw.shape[1]) == (1, 3, 1024 + 1023 + 1022)
+        assert peak < 2 * search._BUDGET
+
+    def test_chunks_bound_traced_memory(self):
+        # T = 5, C = 6, D = 3: 230,230 candidates, about 39 MB of raw sums
+        # at 8 bytes each, in chunks of at most one budget.
+        space = DesignSpace.single(
+            6, 5, 2, 3, (MonotoneNondecreasing(), Identifiable())
+        )
+        obj = Objective(w=0.0, criterion=Eoptimal())
+        search._suffix_table.cache_clear()
+        tracemalloc.start()
+        try:
+            res = exhaustive_search(space, VC, NO_POWER, obj)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res.n_evaluated == comb(20 + 6, 6) == 230_230
+        assert peak < 4 * search._BUDGET
 
 
 # ---------------------------------------------------------------------------
