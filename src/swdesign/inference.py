@@ -67,7 +67,7 @@ class PowerSpec:
         Type-II error requirement in (0, 1]; ``beta = 1`` is the sentinel
         for "ignore power" searches.
     delta : numpy.ndarray
-        Length-``q`` positive clinically relevant differences.
+        Length-``q`` positive, finite clinically relevant differences.
     power_type : str
         ``'individual'`` (reject every false null) or ``'combined'``
         (reject at least one) for the feasibility requirement.
@@ -92,6 +92,9 @@ class PowerSpec:
             [] if self.delta is None else self.delta, dtype=float
         )
         object.__setattr__(self, "delta", delta)
+        if delta.ndim > 1 or not np.isfinite(delta).all():
+            raise ValueError("delta must be a number or a flat list of "
+                             f"finite numbers, got {delta.tolist()}")
         if delta.size and delta.min() <= 0:
             raise ValueError("delta entries must be positive")
 

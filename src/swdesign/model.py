@@ -26,7 +26,7 @@ observation-level matrices remain as references.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -46,6 +46,7 @@ __all__ = [
     "sequence_statistics",
     "kernel_sums",
     "covariance_kernel",
+    "determinant",
     "information_matrix",
     "parameter_labels",
 ]
@@ -422,27 +423,35 @@ def kernel_sums(raw: np.ndarray, T: int, q: int):
     return P, Q, Zbar1.sum(axis=0)
 
 
-def _positive_definite(K, shift):
-    """Whether every LDL' pivot of ``K - shift I`` is positive.
+def _pivots(K, shift=0.0):
+    """The LDL' pivots of ``K - shift I`` for ``q x q`` entry vectors ``K``.
 
-    ``K`` is a ``q x q`` array of entry vectors.  By Sylvester's criterion
-    this holds exactly when the smallest eigenvalue of ``K`` exceeds
-    ``shift``.  The elimination reads and writes the upper triangle only;
-    a candidate whose pivot fails continues with a unit pivot, so its later
-    pivots stay finite and the verdict is already decided.
+    The elimination reads and writes the upper triangle only.  After its
+    first pivot that is not positive a candidate divides by one, so its
+    later pivots stay finite.
     """
     q = K.shape[0]
     A = [[K[i, j] - shift if i == j else K[i, j] for j in range(q)]
          for i in range(q)]
-    ok = A[0][0] > 0
-    for j in range(q - 1):
-        inv = 1.0 / np.where(ok, A[j][j], 1.0)
-        for i in range(j + 1, q):
-            f = A[j][i] * inv
-            for c in range(i, q):
-                A[i][c] = A[i][c] - f * A[j][c]
-        ok &= A[j + 1][j + 1] > 0
-    return ok
+    ok = True
+    for j in range(q):
+        yield A[j][j]
+        if j + 1 < q:
+            ok = ok & (A[j][j] > 0)
+            inv = 1.0 / np.where(ok, A[j][j], 1.0)
+            for i in range(j + 1, q):
+                f = A[j][i] * inv
+                for c in range(i, q):
+                    A[i][c] = A[i][c] - f * A[j][c]
+
+
+def determinant(Lambda: np.ndarray) -> np.ndarray:
+    """Determinants of a ``k x q x q`` stack of positive definite matrices.
+
+    The product of the LDL' pivots, eliminated entry by entry on vectors
+    over the stack: no row exchanges are needed and no LAPACK call is made.
+    """
+    return reduce(np.multiply, _pivots(Lambda.transpose(1, 2, 0)))
 
 
 def _scaled_inverse(K, a: float) -> np.ndarray:
@@ -492,7 +501,8 @@ def covariance_kernel(
     P, Q, scale = sums
     a, b = _mean_variances(m, vc)
     K = P - (b / (a + T * b)) * Q
-    ident = _positive_definite(K, RANK_RTOL * scale)
+    ident = reduce(np.logical_and,
+                   (d > 0 for d in _pivots(K, RANK_RTOL * scale)))
     return ident, _scaled_inverse(K[:, :, ident], a)
 
 
@@ -539,12 +549,15 @@ def _rank_deficient_labels(M: np.ndarray, T: int, D: int) -> list[str]:
 
 
 def _design_kernel(design: Design, vc: VarianceComponents):
-    """:func:`covariance_kernel` of one design over its distinct rows."""
-    seqs, counts = np.unique(design.X, axis=0, return_counts=True)
+    """:func:`covariance_kernel` of one design from its rows' statistics.
+
+    The raw sums add the :func:`sequence_statistics` columns of all ``C``
+    rows, repeats included, as the searches gather a candidate's.
+    """
     stats = sequence_statistics(
-        sequence_contributions(seqs, design.T, design.D)
+        sequence_contributions(design.X, design.T, design.D)
     )
-    sums = kernel_sums(stats @ counts[:, None], design.T, design.q)
+    sums = kernel_sums(stats.sum(axis=1, keepdims=True), design.T, design.q)
     ident, Lambda = covariance_kernel(sums, design.T, design.m, vc)
     return ident[0], Lambda
 

@@ -49,6 +49,7 @@ from .model import (
     Design,
     VarianceComponents,
     covariance_kernel,
+    determinant,
     kernel_sums,
     sequence_contributions,
     sequence_statistics,
@@ -118,7 +119,7 @@ class Doptimal(Criterion):
     name: str = field(default="D", init=False)
 
     def batch(self, Lambda_q, diag):
-        return np.linalg.det(Lambda_q)
+        return determinant(Lambda_q)
 
 
 @dataclass(frozen=True)
@@ -425,24 +426,10 @@ def _combo_counts(job: dict):
 
     def rows_of(j):
         i = int(np.searchsorted(ends, kept[j], side="right"))
-        return _counts_to_rows(counts_of(i, S - ends[i] + kept[j]), seqs)
+        counts = counts_of(i, S - ends[i] + kept[j])
+        return tuple(s for s, c in zip(seqs, counts) for _ in range(c))
 
     return raw, rows_of
-
-
-def _row_counts(idx: np.ndarray, n: int) -> np.ndarray:
-    """``k x n`` multiplicities of the sequence indices in each row of idx."""
-    k = idx.shape[0]
-    flat = (idx + n * np.arange(k)[:, None]).ravel()
-    return np.bincount(flat, minlength=k * n).reshape(k, n).astype(float)
-
-
-def _counts_to_rows(counts_row: np.ndarray, seqs: list) -> tuple:
-    """Canonical (sorted) rows of the design encoded by one count vector."""
-    rows = []
-    for s, c in zip(seqs, counts_row):
-        rows.extend([tuple(s)] * int(round(c)))
-    return tuple(rows)
 
 
 def _check_delta(spec: PowerSpec, D: int) -> None:
@@ -795,9 +782,11 @@ def cross_entropy_search(
     pool.  Each iteration keeps the best ``elite_fraction`` of the
     power-feasible samples by raw criterion value and refits the
     categoricals toward the elite frequencies with exponential smoothing.
-    No cost rescaling is applied: with the size fixed, every candidate has
-    the same cost.  Under the equal-allocation restriction samples that
-    break it never score.  Deterministic for a fixed ``params.seed``.
+    Samples are scored from gathered statistics, with no count matrix: a
+    sample's raw sums add its drawn sequences' statistics columns.  No cost
+    rescaling is applied: with the size fixed, every candidate has the
+    same cost.  Under the equal-allocation restriction samples that break
+    it never score.  Deterministic for a fixed ``params.seed``.
     """
     params = params or CEParams()
     space = DesignSpace.single(C, T, m, D, restrictions)
@@ -818,24 +807,36 @@ def cross_entropy_search(
     stall = 0
     n_evaluated = 0
 
+    def rows_of(sample):
+        # seqs is in lexicographic order, so sorted indices give sorted rows.
+        return tuple(seqs[i] for i in np.sort(sample))
+
     for _ in range(params.max_iterations):
         u = rng.random((params.population_size, C))
         idx = _draw_rows(probs, u)
         n_evaluated += params.population_size
-        counts = _row_counts(idx, n)
+        # A sample's raw sums add its rows' statistics columns; they are
+        # integer-valued, so equal to a count-matrix product bit for bit.
+        sums = stats[:, idx[:, 0]]
+        for c in range(1, C):
+            sums += stats[:, idx[:, c]]
         ident, crit, feasible = _score(
-            kernel_sums(stats @ counts.T, T, D - 1), T, m, vc,
+            kernel_sums(sums, T, D - 1), T, m, vc,
             objective.criterion, spec, params.seed,
         )
         raw = np.full(params.population_size, np.inf)
         raw[ident] = crit
         if space.requires_equal_allocation():
-            raw[~equal_allocation(counts)] = np.inf
+            # Per cluster, how often its sequence occurs in its sample.
+            mult = (idx[:, :, None] == idx[:, None, :]).sum(
+                axis=2, dtype=np.min_scalar_type(C)
+            )
+            raw[~equal_allocation(mult)] = np.inf
         score = raw.copy()
         score[ident] = np.where(feasible, score[ident], np.inf)
         if np.isfinite(raw).any():
             un_j = int(np.argmin(raw))
-            cand = (float(raw[un_j]), _counts_to_rows(counts[un_j], seqs))
+            cand = (float(raw[un_j]), rows_of(idx[un_j]))
             if best_unconstrained is None or cand < best_unconstrained:
                 best_unconstrained = cand
         order = np.argsort(score, kind="stable")
@@ -843,14 +844,12 @@ def cross_entropy_search(
         improved = False
         if elite.size:
             j = int(elite[0])
-            cand = (float(score[j]), _counts_to_rows(counts[j], seqs))
+            cand = (float(score[j]), rows_of(idx[j]))
             if best is None or cand < best:
                 best = cand
                 improved = True
             freq = np.zeros((C, n))
-            rows = np.arange(C)
-            for jj in elite:
-                freq[rows, idx[jj]] += 1.0
+            np.add.at(freq, (np.arange(C), idx[elite]), 1.0)
             freq /= elite.size
             probs = params.smoothing * freq + (1 - params.smoothing) * probs
         stall = 0 if improved else stall + 1

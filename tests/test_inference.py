@@ -75,7 +75,15 @@ class TestPowerSpec:
 
     def test_q(self):
         assert PowerSpec(alpha=0.05, delta=[1.5, 0.75]).q == 2
+        assert PowerSpec(alpha=0.05, delta=1.5).q == 1
         assert PowerSpec(alpha=0.05).q == 0
+
+    @pytest.mark.parametrize("delta", [
+        [[1.5], [0.75]], [float("nan"), 0.75], [1.5, float("inf")],
+    ], ids=["nested", "nan", "inf"])
+    def test_malformed_delta_rejected(self, delta):
+        with pytest.raises(ValueError, match="delta"):
+            PowerSpec(alpha=0.05, delta=delta)
 
 
 # ---------------------------------------------------------------------------

@@ -409,6 +409,48 @@ def test_entry_kernel_matches_lapack_on_random_stacks(q):
     assert (err <= 1e-14 * cond * size).all()
 
 
+@pytest.mark.parametrize("q", [1, 2, 3, 4])
+def test_determinant_matches_lapack_on_random_stacks(q):
+    from swdesign.model import determinant
+
+    K, _, kind = _psd_stack(q, np.random.default_rng(10 + q))
+    K = K[kind == "random"]
+    want = np.linalg.det(K)
+    assert (np.abs(determinant(K) - want) <= 1e-12 * want).all()
+    assert determinant(K[:0]).shape == (0,)
+
+
+@pytest.mark.parametrize("D", [2, 3, 4])
+def test_design_rows_sum_like_a_count_product(D):
+    from swdesign.model import (
+        covariance_kernel,
+        kernel_sums,
+        sequence_statistics,
+    )
+
+    rng = np.random.default_rng(D)
+    T, C, m = 5, 7, 3
+    identifiable = 0
+    for _ in range(20):
+        # Seven clusters drawn from three sequences: rows repeat.
+        Xm = rng.integers(0, D, (3, T))[rng.integers(0, 3, C)]
+        design = Design(m, C, T, Xm, D)
+        seqs, counts = np.unique(Xm, axis=0, return_counts=True)
+        stats = sequence_statistics(sequence_contributions(seqs, T, D))
+        raw = stats @ counts[:, None].astype(float)
+        ident, Lambda = covariance_kernel(
+            kernel_sums(raw, T, D - 1), T, m, COHORT_VC
+        )
+        assert is_identifiable(design, COHORT_VC) == ident[0]
+        if ident[0]:
+            identifiable += 1
+            got = treatment_covariance(design, COHORT_VC).Lambda_q
+            # Bit for bit the count-weighted product over distinct rows.
+            want = 0.5 * (Lambda[0] + Lambda[0].T)
+            assert got.tobytes() == want.tobytes()
+    assert identifiable > 0
+
+
 def test_search_paths_make_no_lapack_call(monkeypatch):
     from swdesign import inference, search
 
@@ -421,6 +463,7 @@ def test_search_paths_make_no_lapack_call(monkeypatch):
 
     monkeypatch.setattr("swdesign.model.np.linalg.eigvalsh", forbidden)
     monkeypatch.setattr("swdesign.model.np.linalg.inv", forbidden)
+    monkeypatch.setattr("swdesign.model.np.linalg.det", forbidden)
     restrictions = (MonotoneNondecreasing(), Identifiable())
     vc = VarianceComponents.from_rho(1.0, 0.05)
     space = DesignSpace.budgeted([3, 4], [2, 3], 2, 12, 3, restrictions)
@@ -429,6 +472,11 @@ def test_search_paths_make_no_lapack_call(monkeypatch):
         search.Objective(0.5, search.Eoptimal()),
     )
     assert res.status == "ok" and res.power is not None
+    res = search.exhaustive_search(
+        space, vc, PowerSpec(alpha=0.05, beta=1.0, delta=[]),
+        search.Objective(0.0, search.Doptimal()),
+    )
+    assert res.status == "ok"
     res = search.cross_entropy_search(
         4, 5, 4, 4, restrictions, vc, search.Objective(0.0, search.Aoptimal()),
         PowerSpec(alpha=0.05, beta=1.0, delta=[]),

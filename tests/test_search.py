@@ -1,5 +1,6 @@
 """Search tests: criteria, objectives, exhaustive and stochastic search."""
 
+import contextlib
 import functools
 import itertools
 import tracemalloc
@@ -297,6 +298,24 @@ class TestExhaustiveSearch:
         assert res.status == "ok"
         assert (res.best.m, res.best.sequences()) == (m, rows)
         assert res.n_feasible == n_feasible
+
+    @pytest.mark.parametrize("space,spec,w,want", [
+        (BUDGETED, NO_POWER, 0.0,
+         (3, "0001 0112 1222", 0.04292089374969069, 1649)),
+        (BUDGETED, PowerSpec(alpha=0.05, beta=0.2, delta=[3.0, 2.0]), 0.5,
+         (2, "000 111 222", 0.13020833333333337, 862)),
+        (BUDGETED, PowerSpec(alpha=0.05, beta=0.2, delta=[2.0, 1.5]), 0.5,
+         (2, "0001 1112 2222", 0.08195347533632287, 155)),
+        (small_space(C=4, T=4, m=2, D=4), NO_POWER, 0.0,
+         (2, "0001 0112 1223 2333", 0.01343607653264331, 59597)),
+    ], ids=["budgeted", "power-w0.5", "tight-power-w0.5", "four-arm"])
+    def test_determinant_keeps_lapack_optima(self, space, spec, w, want):
+        # Optima found with LAPACK's determinant; the pivot product agrees
+        # with it to rounding, so the winners are the same designs.
+        res = exhaustive_search(space, VC, spec, Objective(w, Doptimal()))
+        rows = " ".join("".join(map(str, r)) for r in res.best.sequences())
+        assert (res.best.m, rows, res.n_feasible) == want[:2] + want[3:]
+        assert res.criterion_value == pytest.approx(want[2], rel=1e-12)
 
     def test_enumerates_each_block_chunk_once(self, monkeypatch):
         calls = []
@@ -641,7 +660,137 @@ class TestChunkStream:
 # ---------------------------------------------------------------------------
 
 
+MONOTONE = (MonotoneNondecreasing(), Identifiable())
+
+#: ``(C, T, m, D, restrictions, criterion, spec, CEParams fields)``.
+CE_CASES = {
+    "plain": (5, 4, 2, 3, MONOTONE, Aoptimal(), NO_POWER, {}),
+    "equal": (6, 5, 4, 2, MONOTONE + (EqualSequenceAllocation(),),
+              Eoptimal(), NO_POWER, {}),
+    "combined": (3, 3, 4, 3, MONOTONE, Eoptimal(),
+                 PowerSpec(alpha=0.05, beta=0.2, delta=[1.5, 0.75],
+                           power_type="combined"),
+                 dict(population_size=200, max_iterations=20)),
+    "four-arm": (6, 8, 8, 4, MONOTONE, Aoptimal(),
+                 PowerSpec(alpha=0.05, beta=0.2, delta=[1.5, 1.0, 0.75]),
+                 dict(max_iterations=5, stall_limit=5)),
+    "no-admissible": (6, 8, 8, 4, MONOTONE, Aoptimal(),
+                      PowerSpec(alpha=0.05, beta=0.2, delta=[0.2] * 3),
+                      dict(max_iterations=5, stall_limit=5)),
+}
+
+#: Outcomes of the count-matrix implementation, per case and seed:
+#: ``(status, criterion value, n_evaluated, canonical rows)``.
+CE_GOLDEN = {
+    ("plain", 0): ("ok", 0.17588014796894338, 22000,
+                   "0000 0011 0111 1122 1222"),
+    ("plain", 1): ("ok", 0.17588014796894338, 23000,
+                   "0000 0011 0111 1122 1222"),
+    ("plain", 2): ("ok", 0.17588014796894338, 21000,
+                   "0000 0011 0111 1122 1222"),
+    ("equal", 0): ("ok", 0.058377100840336135, 21000,
+                   "00000 00000 00011 00011 11111 11111"),
+    ("equal", 1): ("ok", 0.058377100840336135, 21000,
+                   "00000 00000 00011 00011 11111 11111"),
+    ("equal", 2): ("ok", 0.058377100840336135, 21000,
+                   "00000 00000 00011 00011 11111 11111"),
+    ("combined", 0): ("ok", 0.22196261682243, 4000, "001 012 122"),
+    ("combined", 1): ("ok", 0.22196261682243, 4000, "001 012 122"),
+    ("combined", 2): ("ok", 0.22196261682243, 4000, "001 012 122"),
+    ("four-arm", 0): ("ok", 0.028777392453915945, 5000,
+                      "00000011 00000113 00111222 11122223 11222333 22233333"),
+    ("four-arm", 1): ("ok", 0.028905356665813193, 5000,
+                      "00000112 00011133 01111222 11222223 11223333 22333333"),
+    ("four-arm", 2): ("ok", 0.02881965605492583, 5000,
+                      "00000011 00001122 00023333 00112233 11112222 22233333"),
+    ("no-admissible", 0): (
+        "no-admissible-design", 0.02983842057151474, 5000,
+        "00001111 00001123 00111222 02333333 11222233 12233333"),
+    ("no-admissible", 1): (
+        "no-admissible-design", 0.02971121160592488, 5000,
+        "00000011 00000112 00013333 01122333 11122223 22233333"),
+    ("no-admissible", 2): (
+        "no-admissible-design", 0.029510272636288786, 5000,
+        "00000111 00011123 00223333 01122223 11122222 12233333"),
+}
+
+
+def run_ce_case(name, seed=0, **params):
+    C, T, m, D, restrictions, criterion, spec, fields = CE_CASES[name]
+    return cross_entropy_search(
+        C, T, m, D, restrictions, VC, Objective(w=0.0, criterion=criterion),
+        spec, CEParams(seed=seed, **dict(fields, **params)),
+    )
+
+
 class TestCrossEntropy:
+    @pytest.mark.parametrize("case,seed", sorted(CE_GOLDEN))
+    def test_outcome_pinned(self, case, seed):
+        res = run_ce_case(case, seed)
+        rows = " ".join("".join(map(str, r)) for r in res.best.sequences())
+        assert (res.status, res.criterion_value, res.n_evaluated, rows) == (
+            CE_GOLDEN[case, seed]
+        )
+
+    @pytest.mark.parametrize("equal", [False, True], ids=["any", "equal"])
+    @pytest.mark.parametrize("D", [2, 3, 4])
+    def test_gathered_sums_equal_count_product(self, monkeypatch, D, equal):
+        # Six clusters from the 4, 10 or 20 monotone sequences of length 3:
+        # rows repeat in most samples.
+        restrictions = (MonotoneNondecreasing(),) + (
+            (EqualSequenceAllocation(),) if equal else ()
+        )
+        seqs = enumerate_sequences(3, D, restrictions)
+        n = len(seqs)
+        stats = sequence_statistics(sequence_contributions(seqs, 3, D))
+        draws, sums, masks = [], [], []
+
+        def spy_draws(probs, u, draw=search._draw_rows):
+            draws.append(draw(probs, u))
+            return draws[-1]
+
+        def spy_sums(raw, T, q, finish=search.kernel_sums):
+            sums.append(raw.copy())  # finished in place
+            return finish(raw, T, q)
+
+        def spy_masks(counts, mask=search.equal_allocation):
+            masks.append(mask(counts))
+            return masks[-1]
+
+        monkeypatch.setattr(search, "_draw_rows", spy_draws)
+        monkeypatch.setattr(search, "kernel_sums", spy_sums)
+        monkeypatch.setattr(search, "equal_allocation", spy_masks)
+        with contextlib.suppress(SearchFailure):
+            cross_entropy_search(
+                6, 3, 2, D, restrictions, VC,
+                Objective(w=0.0, criterion=Eoptimal()), NO_POWER,
+                CEParams(population_size=300, max_iterations=3,
+                         stall_limit=3),
+            )
+        assert len(draws) == len(sums) == 3
+        assert len(masks) == (3 if equal else 0)
+        repeated = 0
+        for i, (idx, raw) in enumerate(zip(draws, sums)):
+            counts = np.array([np.bincount(r, minlength=n) for r in idx])
+            repeated += int((counts.max(axis=1) > 1).sum())
+            # Bit for bit the count-matrix product.
+            assert raw.tobytes() == (stats @ counts.T.astype(float)).tobytes()
+            if equal:
+                np.testing.assert_array_equal(masks[i],
+                                              equal_allocation(counts))
+        assert repeated > 0
+
+    def test_population_bounds_traced_memory(self):
+        # 1000 samples of 6 rows from 165 sequences: a float count matrix
+        # alone would take 1.3 MB.
+        tracemalloc.start()
+        try:
+            run_ce_case("four-arm", population_size=1000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
+
     @pytest.mark.parametrize("seed", range(5))
     def test_matches_exhaustive_on_small_space(self, seed):
         restrictions = (MonotoneNondecreasing(), Identifiable())

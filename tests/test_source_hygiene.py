@@ -43,3 +43,31 @@ def test_checker_flags_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
 def test_every_import_is_used(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def dense_calls(source: str) -> list[str]:
+    """Matrix products (``@``, a BLAS call) and ``linalg.det`` (LAPACK)."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(
+            node.op, ast.MatMult
+        ):
+            found.append(f"@ (line {node.lineno})")
+        elif (isinstance(node, ast.Attribute) and node.attr == "det"
+              and isinstance(node.value, ast.Attribute)
+              and node.value.attr == "linalg"):
+            found.append(f"linalg.det (line {node.lineno})")
+    return sorted(found)
+
+
+def test_checker_flags_products_and_determinants():
+    source = "import numpy as np\na = b @ c\na @= c\nd = np.linalg.det(a)\n"
+    assert dense_calls(source) == [
+        "@ (line 2)", "@ (line 3)", "linalg.det (line 4)",
+    ]
+
+
+def test_search_makes_no_blas_or_lapack_call():
+    # Candidates are scored from gathered statistics on entry vectors; a
+    # product or a determinant call would bring BLAS or LAPACK back.
+    assert dense_calls((SRC / "search.py").read_text(encoding="utf-8")) == []
