@@ -53,29 +53,6 @@ from .search import (
 SCHEMA_VERSION = 1
 EXIT_NO_ADMISSIBLE = 3
 
-#: Keys of each config object, by JSON path: :func:`_section` checks a
-#: top-level block and the builders the nested objects, so any other key,
-#: a misspelt one say, is an error rather than silently ignored.
-BLOCK_KEYS = {name: frozenset(keys.split()) for name, keys in {
-    "model": "rho rho0 rho1 rho2 sigma2 sigma2_c sigma2_theta sigma2_s "
-             "sigma2_eps",
-    "space": "D T C m restrictions",
-    "space.m": "min budget",
-    "space.restrictions[i]": "allowed_sequences label",
-    "power": "alpha correction beta delta power_type",
-    "objective": "w criterion",
-    "design": "m",
-    "compare": "m",
-    "ce": " ".join(f.name for f in dataclasses.fields(CEParams)),
-    "sensitivity": "sigma2_c_range sigma2_eps_range steps",
-    "analytic": "op m T rho E rho0 rho1 rho2 p_bar",
-}.items()}
-
-#: Top-level config keys: the blocks and two scalars.
-CONFIG_KEYS = frozenset({"schema_version", "candidate_cap"}).union(
-    name for name in BLOCK_KEYS if "." not in name
-)
-
 __all__ = ["main", "read_design_csv", "write_design_csv", "load_config"]
 
 
@@ -135,194 +112,148 @@ def _required(block: dict, key, path: str = ""):
         raise click.ClickException(f"{name} is required") from None
 
 
-def _section(cfg: dict, key: str, required: bool = False) -> dict:
-    """A JSON-object block of the config, or a one-line error naming it."""
-    block = _required(cfg, key) if required else cfg.get(key) or {}
-    if not isinstance(block, dict):
-        raise click.ClickException(f"{key} must be an object, got {block!r}")
-    _known(block, key)
-    return block
-
-
-def _known(block: dict, path: str, name: str = "") -> None:
-    """One-line error naming each key of ``block`` outside BLOCK_KEYS[path].
-
-    ``name`` is the object's JSON path where it differs from ``path``.
-    """
-    unknown = sorted(set(block) - BLOCK_KEYS[path])
-    if unknown:
-        # The keys of ce are CEParams keyword arguments; say so in Python's
-        # words, which existing callers match.
-        hint = (f": unexpected keyword argument {unknown[0]!r} of CEParams"
-                if path == "ce" else "")
-        raise click.ClickException("unknown key " + ", ".join(
-            repr(f"{name or path}.{key}") for key in unknown) + hint)
-
-
-def _number(value, name: str):
+def _number(value, path: str) -> None:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise click.ClickException(f"{name} must be a number, got {value!r}")
+        raise click.ClickException(f"{path} must be a number, got {value!r}")
     if not math.isfinite(value):
         # JSON parsing accepts NaN and Infinity.
         raise click.ClickException(
-            f"{name} must be a finite number, got {value!r}"
+            f"{path} must be a finite number, got {value!r}"
         )
-    return value
 
 
-def _int(value, name: str) -> int:
+def _integer(value, path: str) -> None:
     if isinstance(value, bool) or not isinstance(value, int):
-        raise click.ClickException(f"{name} must be an integer, got {value!r}")
-    return value
+        raise click.ClickException(f"{path} must be an integer, got {value!r}")
 
 
-def _ints(value, name: str) -> tuple:
-    """A JSON integer or list of integers, or a one-line error naming it."""
-    if not isinstance(value, list):
-        return (_int(value, name),)
-    return tuple(_int(v, f"{name}[{i}]") for i, v in enumerate(value))
+def _text(value, path: str) -> None:
+    """Passed through: the library names the values it accepts."""
 
 
-def _build_vc(block: dict) -> VarianceComponents:
-    for key, value in block.items():
-        if key.startswith(("rho", "sigma2")):
-            _number(value, f"model.{key}")
-    sigma2 = block.get("sigma2", 1.0)
-    try:
-        if "rho" in block:
-            field = "model.rho"
-            vc = VarianceComponents.from_rho(sigma2, block["rho"])
-        elif "rho0" in block:
-            field = "model.rho0/rho1/rho2"
-            vc = VarianceComponents.from_correlations(
-                sigma2,
-                block["rho0"],
-                _required(block, "rho1", "model"),
-                _required(block, "rho2", "model"),
-            )
-        else:
-            field = "model"
-            vc = VarianceComponents(
-                sigma2_c=block.get("sigma2_c", 0.0),
-                sigma2_theta=block.get("sigma2_theta", 0.0),
-                sigma2_s=block.get("sigma2_s", 0.0),
-                sigma2_eps=block.get("sigma2_eps", 1.0),
-            )
-    except ValueError as exc:
-        raise click.ClickException(f"{field}: {exc}") from None
-    if vc.sigma2_eps <= 0:
+def _list_of(check):
+    """Checker of a list whose entries ``check`` accepts."""
+    def list_of(value, path):
+        if not isinstance(value, list):
+            raise click.ClickException(f"{path} must be a list, got {value!r}")
+        for i, item in enumerate(value):
+            check(item, f"{path}[{i}]")
+    return list_of
+
+
+def _one_or_list(check):
+    """Checker of a value that ``check`` accepts, or of a list of them."""
+    return lambda value, path: (
+        _list_of(check) if isinstance(value, list) else check)(value, path)
+
+
+def _pair(value, path: str) -> None:
+    if not isinstance(value, list) or len(value) != 2:
         raise click.ClickException(
-            f"{field}: leaves no residual variance (sigma2_eps = "
-            f"{vc.sigma2_eps!r}), so the marginal covariance is singular"
+            f"{path} must be a [low, high] pair, got {value!r}"
         )
-    return vc
+    _list_of(_number)(value, path)
 
 
-def _list(value, name: str) -> list:
-    if not isinstance(value, list):
-        raise click.ClickException(f"{name} must be a list, got {value!r}")
-    return value
-
-
-def _build_restrictions(names) -> tuple:
-    out = []
-    for i, item in enumerate(_list(names or [], "space.restrictions")):
-        field = f"space.restrictions[{i}]"
-        if isinstance(item, str):
-            try:
-                out.append(restriction_from_name(item))
-            except ValueError as exc:
-                raise click.ClickException(f"{field}: {exc}") from None
-        elif isinstance(item, dict) and "allowed_sequences" in item:
-            _known(item, "space.restrictions[i]", field)
-            allowed = _list(item["allowed_sequences"],
-                            f"{field}.allowed_sequences")
-            out.append(
-                CustomPredicate(
-                    label=item.get("label", "whitelist"),
-                    allowed=tuple(
-                        _ints(seq, f"{field}.allowed_sequences[{j}]")
-                        for j, seq in enumerate(allowed)
-                    ),
-                )
-            )
-        else:
+def _object(table: str):
+    """Checker of a JSON object whose keys ``SCHEMA[table]`` checks."""
+    def check(value, path):
+        if not isinstance(value, dict):
             raise click.ClickException(
-                f"{field}: unrecognized restriction {item!r}"
+                f"{path} must be an object, got {value!r}"
             )
-    return tuple(out)
+        keys = SCHEMA[table]
+        unknown = sorted(set(value) - set(keys))
+        if unknown:
+            # The keys of ce are CEParams keyword arguments; say so in
+            # Python's words, which existing callers match.
+            hint = (f": unexpected keyword argument {unknown[0]!r} of CEParams"
+                    if table == "ce" else "")
+            raise click.ClickException("unknown key " + ", ".join(
+                repr(f"{path}.{key}") for key in unknown) + hint)
+        for key, item_check in keys.items():
+            if key in value:
+                item_check(value[key], f"{path}.{key}")
+    return check
 
 
-def _build_space(cfg: dict) -> DesignSpace:
-    block = _section(cfg, "space", required=True)
-    D = _int(_required(block, "D", "space"), "space.D")
-    restrictions = _build_restrictions(block.get("restrictions"))
-    T_values = _ints(_required(block, "T", "space"), "space.T")
-    C_values = _required(block, "C", "space")
-    if isinstance(C_values, dict):
-        C_values = {
-            _int(int(t) if t.isdigit() else t, "space.C key"):
-                _ints(cs, f"space.C.{t}")
-            for t, cs in C_values.items()
-        }
-    else:
-        C_values = _ints(C_values, "space.C")
-    m_block = _required(block, "m", "space")
-    try:
-        if isinstance(m_block, dict):
-            _known(m_block, "space.m")
-            budget = _required(m_block, "budget", "space.m")
-            return DesignSpace.budgeted(
-                T_values, C_values,
-                _int(m_block.get("min", 2), "space.m.min"),
-                _int(budget, "space.m.budget"), D, restrictions,
-            )
-        return DesignSpace.grid(
-            T_values, C_values, _ints(m_block, "space.m"), D, restrictions
-        )
-    except ValueError as exc:
-        raise click.ClickException(f"space: {exc}") from None
+def _or_object(obj, check):
+    """Checker applying ``obj`` to a JSON object and ``check`` otherwise."""
+    return lambda value, path: (
+        obj if isinstance(value, dict) else check)(value, path)
 
 
-def _build_power(block: dict, q: int) -> PowerSpec:
-    """Power settings for ``q`` treatment effects.
-
-    ``delta`` must have ``q`` entries when a power requirement is set
-    (``beta < 1``) or a ``delta`` is given at all; a number is one entry.
-    """
-    delta = block.get("delta", [])
-    delta = ([_number(v, f"power.delta[{i}]") for i, v in enumerate(delta)]
-             if isinstance(delta, list) else [_number(delta, "power.delta")])
-    try:
-        spec = PowerSpec(
-            alpha=_number(block.get("alpha", 0.05), "power.alpha"),
-            correction=block.get("correction", "bonferroni"),
-            beta=_number(block.get("beta", 1.0), "power.beta"),
-            delta=delta,
-            power_type=block.get("power_type", "individual"),
-        )
-    except ValueError as exc:
-        raise click.ClickException(f"power: {exc}") from None
-    if spec.q != q and (spec.beta < 1 or spec.q):
-        raise click.ClickException(
-            f"power.delta has {spec.q} entries but space.D = {q + 1} "
-            f"needs {q}, one per intervention effect"
-        )
-    return spec
+def _per_T(check):
+    """Checker of a map keyed by T whose values ``check`` accepts."""
+    def per_T(value, path):
+        for key, item in value.items():
+            check(item, f"{path}.{key}")
+    return per_T
 
 
-def _build_objective(block: dict) -> Objective:
-    try:
-        return Objective(
-            w=_number(block.get("w", 0.0), "objective.w"),
-            criterion=criterion_from_name(block.get("criterion", "E")),
-        )
-    except ValueError as exc:
-        raise click.ClickException(f"objective: {exc}") from None
+#: The analytic ops: each one's function and the analytic keys it takes.
+ANALYTIC_OPS = {
+    "cluster-mean-correlation": (analytic_mod.cluster_mean_correlation,
+                                 ("m", "T", "rho")),
+    "rho-from-E": (analytic_mod.rho_from_E, ("m", "T", "E")),
+    "sequence-count": (analytic_mod.optimal_sequence_count, ("E",)),
+    "li-proportions": (analytic_mod.li_optimal_proportions,
+                       ("m", "T", "rho0", "rho1", "rho2")),
+    "empirical-proportions": (analytic_mod.empirical_proportions, ()),
+    "binary-residual-variance": (analytic_mod.binary_residual_variance,
+                                 ("p_bar",)),
+}
+
+#: The model's parameterisations: the keys each needs and those it may add.
+MODEL_FORMS = (({"rho"}, {"sigma2"}), ({"rho0", "rho1", "rho2"}, {"sigma2"}),
+               (set(), {"sigma2_c", "sigma2_theta", "sigma2_s", "sigma2_eps"}))
+
+#: Checkers of dataclass fields by their annotation.
+_BY_TYPE = {"int": _integer, "float": _number, "str": _text,
+            "tuple[float, float]": _pair, "np.ndarray": _one_or_list(_number)}
+_INTEGERS = _one_or_list(_integer)
+
+
+def _fields(cls) -> dict:
+    """Checkers of a block whose keys are ``cls``'s keyword arguments."""
+    return {f.name: _BY_TYPE[f.type] for f in dataclasses.fields(cls)}
+
+
+#: The checker of every config key, by the JSON path of the object holding
+#: it ("" is the top level).  :func:`load_config` walks a config against it
+#: once, so any other key, a misspelt one say, is an error rather than
+#: silently ignored, and the builders read checked values.
+SCHEMA = {
+    "": {"schema_version": _text, "candidate_cap": _integer, **{
+        name: _object(name) for name in (
+            "model", "space", "power", "objective", "design", "compare", "ce",
+            "sensitivity", "analytic")}},
+    "model": dict.fromkeys(
+        sorted(set().union(*(a | b for a, b in MODEL_FORMS))), _number),
+    "space": {"D": _integer, "T": _INTEGERS,
+              "C": _or_object(_per_T(_INTEGERS), _INTEGERS),
+              "m": _or_object(_object("space.m"), _INTEGERS),
+              "restrictions": _list_of(
+                  _or_object(_object("space.restrictions[i]"), _text))},
+    "space.m": {"min": _integer, "budget": _integer},
+    "space.restrictions[i]": {
+        "allowed_sequences": _list_of(_list_of(_integer)), "label": _text},
+    "power": _fields(PowerSpec),
+    "objective": {"w": _number, "criterion": _text},
+    "design": {"m": _integer},
+    "compare": {"m": _integer},
+    "ce": _fields(CEParams),
+    "sensitivity": _fields(GridSpec),
+    "analytic": {"op": _text, **{key: _number for _, keys in
+                                 ANALYTIC_OPS.values() for key in keys}},
+}
+
+#: Top-level config keys: the blocks and two scalars.
+CONFIG_KEYS = frozenset(SCHEMA[""])
 
 
 def load_config(path) -> dict:
-    """Parse and validate a run configuration file."""
+    """Parse a run configuration file and check it against :data:`SCHEMA`."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             cfg = json.load(fh)
@@ -341,10 +272,115 @@ def load_config(path) -> dict:
         raise click.ClickException(
             f"{path}: unknown top-level key {', '.join(map(repr, unknown))}"
         )
-    for name in BLOCK_KEYS:
-        if name in CONFIG_KEYS:
-            _section(cfg, name)
+    for key, check in SCHEMA[""].items():
+        if key in cfg:
+            check(cfg[key], key)
     return cfg
+
+
+def _tuple(value) -> tuple:
+    """A checked integer-or-list value as a tuple."""
+    return tuple(value) if isinstance(value, list) else (value,)
+
+
+def _build_vc(block: dict) -> VarianceComponents:
+    if not any(need <= set(block) <= need | extra
+               for need, extra in MODEL_FORMS):
+        raise click.ClickException(
+            f"model keys {', '.join(map(repr, sorted(block)))} do not make "
+            "one parameterisation: give rho or all of rho0/rho1/rho2, either "
+            "with an optional sigma2, or some of "
+            "sigma2_c/sigma2_theta/sigma2_s/sigma2_eps"
+        )
+    sigma2 = block.get("sigma2", 1.0)
+    try:
+        if "rho" in block:
+            field = "model.rho"
+            vc = VarianceComponents.from_rho(sigma2, block["rho"])
+        elif "rho0" in block:
+            field = "model.rho0/rho1/rho2"
+            vc = VarianceComponents.from_correlations(
+                sigma2, block["rho0"], block["rho1"], block["rho2"]
+            )
+        else:
+            field = "model"
+            vc = VarianceComponents(**block)
+    except ValueError as exc:
+        raise click.ClickException(f"{field}: {exc}") from None
+    if vc.sigma2_eps <= 0:
+        raise click.ClickException(
+            f"{field}: leaves no residual variance (sigma2_eps = "
+            f"{vc.sigma2_eps!r}), so the marginal covariance is singular"
+        )
+    return vc
+
+
+def _build_restriction(item, path: str):
+    try:
+        if isinstance(item, dict):
+            return CustomPredicate(
+                label=item.get("label", "whitelist"),
+                allowed=tuple(map(tuple, _required(
+                    item, "allowed_sequences", path))),
+            )
+        return restriction_from_name(item)
+    except ValueError as exc:
+        raise click.ClickException(f"{path}: {exc}") from None
+
+
+def _build_space(cfg: dict) -> DesignSpace:
+    block = _required(cfg, "space")
+    D, T, C, m = (_required(block, key, "space") for key in "DTCm")
+    restrictions = [_build_restriction(item, f"space.restrictions[{i}]")
+                    for i, item in enumerate(block.get("restrictions", []))]
+    T = _tuple(T)
+    if isinstance(C, dict):
+        for key in sorted(set(C) - {str(t) for t in T}):
+            raise click.ClickException(
+                f"space.C.{key}: T = {key} is not in space.T"
+            )
+    C = ({int(t): _tuple(Cs) for t, Cs in C.items()} if isinstance(C, dict)
+         else _tuple(C))
+    try:
+        if isinstance(m, dict):
+            return DesignSpace.budgeted(
+                T, C, m.get("min", 2), _required(m, "budget", "space.m"), D,
+                restrictions,
+            )
+        return DesignSpace.grid(T, C, _tuple(m), D, restrictions)
+    except ValueError as exc:
+        raise click.ClickException(f"space: {exc}") from None
+
+
+def _build_power(block: dict, q: int) -> PowerSpec:
+    """Power settings for ``q`` treatment effects.
+
+    Without a requirement (``beta = 1``, the default) a search ignores
+    power.  ``delta`` must have ``q`` entries when a requirement is set or
+    a ``delta`` is given at all; a number is one entry.
+    """
+    delta = block.get("delta", [])
+    try:
+        spec = PowerSpec(**{"alpha": 0.05, "beta": 1.0, **block, "delta":
+                            delta if isinstance(delta, list) else [delta]})
+    except ValueError as exc:
+        raise click.ClickException(f"power: {exc}") from None
+    if spec.q != q and (spec.beta < 1 or spec.q):
+        raise click.ClickException(
+            f"power.delta has {spec.q} entries but space.D = {q + 1} "
+            f"needs {q}, one per intervention effect"
+        )
+    return spec
+
+
+def _build_objective(block: dict) -> Objective:
+    try:
+        return Objective(
+            w=block.get("w", 0.0),
+            criterion=criterion_from_name(block.get("criterion", "E")),
+        )
+    except ValueError as exc:
+        raise click.ClickException(f"objective: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -462,18 +498,17 @@ def _design(X, m, D: int, field: str) -> Design:
 
 
 def _common_eval(cfg, design_path, m_override):
-    vc = _build_vc(_section(cfg, "model"))
+    vc = _build_vc(cfg.get("model", {}))
     X = read_design_csv(design_path)
-    D = _section(cfg, "space").get("D")
-    D = int(X.max()) + 1 if D is None else _int(D, "space.D")
-    spec = _build_power(_section(cfg, "power"), D - 1)
-    m = m_override or _section(cfg, "design").get("m")
+    D = cfg.get("space", {}).get("D", int(X.max()) + 1)
+    spec = _build_power(cfg.get("power", {}), D - 1)
+    m = cfg.get("design", {}).get("m") if m_override is None else m_override
     if m is None:
         raise click.ClickException(
             "measurements per cluster-period not given: add a top-level "
             '"design": {"m": ...} block to the config'
         )
-    design = _design(X, _int(m, "design.m"), D, "design")
+    design = _design(X, m, D, "design")
     return design, vc, spec if spec.q == design.q else None
 
 
@@ -481,8 +516,7 @@ def _comparator_stats(cfg, compare_path, vc, spec, seed, D, m):
     if not compare_path:
         return None
     X = read_design_csv(compare_path)
-    cm = _int(_section(cfg, "compare").get("m", m), "compare.m")
-    design = _design(X, cm, D, "compare")
+    design = _design(X, cfg.get("compare", {}).get("m", m), D, "compare")
     return evaluate_design(design, vc, spec, seed)
 
 
@@ -540,15 +574,14 @@ def search(config_path, workers, seed, out, compare_path):
     """Exhaustive admissible-design search."""
     cfg = load_config(config_path)
     workers = _workers_option(workers)
-    vc = _build_vc(_section(cfg, "model"))
+    vc = _build_vc(cfg.get("model", {}))
     space = _build_space(cfg)
-    spec = _build_power(_section(cfg, "power"), space.D - 1)
-    objective = _build_objective(_section(cfg, "objective"))
-    cap = _int(cfg.get("candidate_cap", 10**8), "candidate_cap")
+    spec = _build_power(cfg.get("power", {}), space.D - 1)
+    objective = _build_objective(cfg.get("objective", {}))
     try:
         result = exhaustive_search(
-            space, vc, spec, objective, workers=workers,
-            candidate_cap=cap, seed=seed,
+            space, vc, spec, objective, workers=workers, seed=seed,
+            **{k: v for k, v in cfg.items() if k == "candidate_cap"},
         )
     except CandidateCapExceeded as exc:
         raise click.ClickException(str(exc))
@@ -600,21 +633,17 @@ def search(config_path, workers, seed, out, compare_path):
 def ce_search(config_path, seed, out):
     """Cross-entropy stochastic search at fixed (m, C, T)."""
     cfg = load_config(config_path)
-    vc = _build_vc(_section(cfg, "model"))
+    vc = _build_vc(cfg.get("model", {}))
     space = _build_space(cfg)
-    spec = _build_power(_section(cfg, "power"), space.D - 1)
-    objective = _build_objective(_section(cfg, "objective"))
+    spec = _build_power(cfg.get("power", {}), space.D - 1)
+    objective = _build_objective(cfg.get("objective", {}))
     blocks = list(space.blocks())
     if len(blocks) != 1:
         raise click.ClickException(
             "ce-search requires a single (m, C, T) combination in the space"
         )
     T, C, m = blocks[0]
-    fields = {
-        key: (_number if key in ("elite_fraction", "smoothing") else _int)(
-            value, f"ce.{key}")
-        for key, value in _section(cfg, "ce").items()
-    }
+    fields = dict(cfg.get("ce", {}))
     if seed is not None:
         fields["seed"] = seed
     try:
@@ -662,33 +691,17 @@ def sensitivity(config_path, design_path, workers, seed, out):
     cfg = load_config(config_path)
     workers = _workers_option(workers)
     space = _build_space(cfg)
-    spec = _build_power(_section(cfg, "power"), space.D - 1)
-    objective = _build_objective(_section(cfg, "objective"))
-    g = _section(cfg, "sensitivity")
-
-    def pair(key, default):
-        value = g.get(key, default)
-        if not isinstance(value, list) or len(value) != 2:
-            raise click.ClickException(
-                f"sensitivity.{key} must be a [low, high] pair, got {value!r}"
-            )
-        return tuple(_number(v, f"sensitivity.{key}[{i}]")
-                     for i, v in enumerate(value))
-
-    m = _section(cfg, "design").get("m")
-    m = None if m is None else _int(m, "design.m")
+    spec = _build_power(cfg.get("power", {}), space.D - 1)
+    objective = _build_objective(cfg.get("objective", {}))
     X = read_design_csv(design_path) if design_path else None
     try:
-        grid = GridSpec(
-            sigma2_c_range=pair("sigma2_c_range", [0.001, 0.25]),
-            sigma2_eps_range=pair("sigma2_eps_range", [0.25, 4.0]),
-            steps=_int(g.get("steps", 26), "sensitivity.steps"),
-        )
+        grid = GridSpec(**cfg.get("sensitivity", {}))
         result = sensitivity_map(grid, space, objective, spec,
                                  workers=workers, seed=seed)
         if X is not None:
             ratios = variance_ratio_map(X, grid, space, objective, spec,
-                                        m=m, sensitivity=result)
+                                        m=cfg.get("design", {}).get("m"),
+                                        sensitivity=result)
     except ValueError as exc:
         raise click.ClickException(f"sensitivity: {exc}") from None
     run_dir = _run_dir(out, config_path, "sensitivity")
@@ -732,50 +745,28 @@ def sensitivity(config_path, design_path, workers, seed, out):
 def analytic(config_path, design_path, out):
     """Closed-form design quantities."""
     cfg = load_config(config_path)
-    block = _section(cfg, "analytic")
+    block = cfg.get("analytic", {})
     if "op" not in block:
         raise click.ClickException('config needs an "analytic" block with "op"')
     op = block["op"]
-
-    def arg(key):
-        return _number(_required(block, key, "analytic"), f"analytic.{key}")
-
+    if not isinstance(op, str) or op not in ANALYTIC_OPS:
+        raise click.ClickException(f"unknown analytic op {op!r}")
+    fn, keys = ANALYTIC_OPS[op]
+    args = [_required(block, key, "analytic") for key in keys]
+    if op == "empirical-proportions":
+        if not design_path:
+            raise click.ClickException(
+                "empirical-proportions requires --design"
+            )
+        args = [read_design_csv(design_path)]
     try:
-        if op == "cluster-mean-correlation":
-            value = analytic_mod.cluster_mean_correlation(
-                arg("m"), arg("T"), arg("rho")
-            )
-        elif op == "rho-from-E":
-            value = analytic_mod.rho_from_E(arg("m"), arg("T"), arg("E"))
-        elif op == "sequence-count":
-            value = analytic_mod.optimal_sequence_count(arg("E"))
-        elif op == "li-proportions":
-            res = analytic_mod.li_optimal_proportions(
-                arg("m"), arg("T"), arg("rho0"), arg("rho1"), arg("rho2")
-            )
-            value = {
-                "p": [float(v) for v in res.p],
-                "psi": res.psi,
-                "xi": res.xi,
-                "gamma": res.gamma,
-            }
-        elif op == "empirical-proportions":
-            if not design_path:
-                raise click.ClickException(
-                    "empirical-proportions requires --design"
-                )
-            value = [
-                float(v)
-                for v in analytic_mod.empirical_proportions(
-                    read_design_csv(design_path)
-                )
-            ]
-        elif op == "binary-residual-variance":
-            value = analytic_mod.binary_residual_variance(arg("p_bar"))
-        else:
-            raise click.ClickException(f"unknown analytic op {op!r}")
+        value = fn(*args)
     except ValueError as exc:
         raise click.ClickException(f"analytic: {exc}") from None
+    if op == "li-proportions":
+        value = {**vars(value), "p": value.p.tolist()}
+    elif isinstance(value, np.ndarray):
+        value = value.tolist()
     click.echo(json.dumps({"op": op, "value": value}, sort_keys=True))
     run_dir = _run_dir(out, config_path, "analytic")
     _dump_json(cfg, run_dir / "config.json")

@@ -141,7 +141,7 @@ _NAMED = {
 def restriction_from_name(name: str) -> Restriction:
     """Look up a built-in restriction by its configuration name."""
     try:
-        return _NAMED[name]()
+        return _NAMED[str(name)]()
     except KeyError:
         raise ValueError(
             f"unknown restriction {name!r}; expected one of {sorted(_NAMED)}"

@@ -147,7 +147,7 @@ class VarianceComponents:
         Residual variance.
     """
 
-    sigma2_c: float
+    sigma2_c: float = 0.0
     sigma2_theta: float = 0.0
     sigma2_s: float = 0.0
     sigma2_eps: float = 1.0

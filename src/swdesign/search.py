@@ -802,8 +802,10 @@ def cross_entropy_search(
     probs = np.full((C, n), 1.0 / n)
     n_elite = max(1, int(round(params.elite_fraction * params.population_size)))
 
-    best = None  # (crit, canonical rows)
-    best_unconstrained = None
+    # Champions are (crit, cost, (m, C, T), canonical rows) records, ranked
+    # by _better as in the exhaustive search.
+    best = best_unconstrained = None
+    cost = float(m * C * T)
     stall = 0
     n_evaluated = 0
 
@@ -836,16 +838,15 @@ def cross_entropy_search(
         score[ident] = np.where(feasible, score[ident], np.inf)
         if np.isfinite(raw).any():
             un_j = int(np.argmin(raw))
-            cand = (float(raw[un_j]), rows_of(idx[un_j]))
-            if best_unconstrained is None or cand < best_unconstrained:
-                best_unconstrained = cand
+            best_unconstrained = _better(best_unconstrained, (
+                float(raw[un_j]), cost, (m, C, T), rows_of(idx[un_j])))
         order = np.argsort(score, kind="stable")
         elite = order[: n_elite][np.isfinite(score[order[:n_elite]])]
         improved = False
         if elite.size:
             j = int(elite[0])
-            cand = (float(score[j]), rows_of(idx[j]))
-            if best is None or cand < best:
+            cand = (float(score[j]), cost, (m, C, T), rows_of(idx[j]))
+            if _better(best, cand) is cand:
                 best = cand
                 improved = True
             freq = np.zeros((C, n))
@@ -862,11 +863,11 @@ def cross_entropy_search(
             "increase the population size"
         )
 
-    crit, rows = best if best is not None else best_unconstrained
+    record = best if best is not None else best_unconstrained
     return _outcome(
-        (crit, float(m * C * T), (m, C, T), rows), vc, D, spec, params.seed,
+        record, vc, D, spec, params.seed,
         status="ok" if best is not None else "no-admissible-design",
-        objective_value=crit, scaling={}, n_evaluated=n_evaluated,
+        objective_value=record[0], scaling={}, n_evaluated=n_evaluated,
         n_feasible=-1,
     )
 

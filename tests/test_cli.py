@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -212,8 +213,10 @@ class TestConfigErrors:
             (lambda s: s["restrictions"].append(
                 {"allowed_sequences": [[0, 0, 1]], "lable": "x"}),
              "unknown key 'space.restrictions[2].lable'"),
+            (lambda s: s.update(T=[3], C={"3": [3], "4": [9]}),
+             "space.C.4: T = 4 is not in space.T"),
         ],
-        ids=["m-budget", "whitelist"],
+        ids=["m-budget", "whitelist", "C-map-T"],
     )
     def test_unknown_nested_key(self, runner, tmp_path, edit, expected):
         line = self.run_search(runner, tmp_path, lambda c: edit(c["space"]))
@@ -423,6 +426,41 @@ class TestConfigErrors:
         assert len(lines) == 1 and lines[0].startswith("Error: ")
         assert expected in lines[0]
 
+    @pytest.mark.parametrize(
+        "model,keys",
+        [
+            ({"rho": 0.05, "sigma2_c": 0.9}, "'rho', 'sigma2_c'"),
+            ({"rho": 0.05, "rho0": 0.05, "rho1": 0.05, "rho2": 0.05},
+             "'rho', 'rho0', 'rho1', 'rho2'"),
+            ({"sigma2": 2.0, "sigma2_c": 0.1, "sigma2_eps": 0.9},
+             "'sigma2', 'sigma2_c', 'sigma2_eps'"),
+            ({"rho0": 0.05, "rho1": 0.01}, "'rho0', 'rho1'"),
+            ({"sigma2": 2.0}, "'sigma2'"),
+        ],
+        ids=["rho-raw", "rho-correlations", "sigma2-raw", "rho2-missing",
+             "sigma2-alone"],
+    )
+    def test_model_mixing_parameterisations(self, runner, tmp_path, model,
+                                            keys):
+        line = self.run_search(
+            runner, tmp_path, lambda cfg: cfg.update(model=model)
+        )
+        assert line.startswith(f"Error: model keys {keys} do not make one "
+                               "parameterisation: give rho or all of ")
+
+    @pytest.mark.parametrize("m", ["0", "1"])
+    def test_evaluate_m_option_below_two(self, runner, tmp_path,
+                                         reference_csv, m):
+        result = runner.invoke(
+            main, ["evaluate", "--config", reference_config(tmp_path),
+                   "--design", reference_csv, "--m", m,
+                   "--out", str(tmp_path / "r")],
+        )
+        assert result.exit_code == 1
+        assert result.output.strip().splitlines() == [
+            f"Error: design: m must be >= 2, got {m}"
+        ]
+
     def test_space_value_out_of_range(self, runner, tmp_path):
         line = self.run_search(
             runner, tmp_path, lambda cfg: cfg["space"].update(C=[1, 3])
@@ -445,6 +483,26 @@ class TestConfigErrors:
         )
         assert result.exit_code == 1
         assert "Error: power.delta has 1 entries" in result.output
+
+
+def test_readme_config_section_matches_schema():
+    # The README's "Command line" section names every config key, and each
+    # key of its JSON example is one the config table accepts.
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    section = readme.read_text(encoding="utf-8").split("## Command line")[1]
+    section = section.split("\n## ")[0]
+    schema = swdesign.cli.SCHEMA
+
+    def walk(obj, path):
+        for key, value in obj.items():
+            assert key in schema[path], f"{path}.{key}".lstrip(".")
+            inner = f"{path}.{key}".lstrip(".")
+            if isinstance(value, dict) and inner in schema:
+                walk(value, inner)
+
+    walk(json.loads(section.split("```json")[1].split("```")[0]), "")
+    named = set(re.findall(r"\w+", section))
+    assert {key for keys in schema.values() for key in keys} <= named
 
 
 def run_cold(args, heavy_prefixes):

@@ -732,6 +732,21 @@ class TestCrossEntropy:
             CE_GOLDEN[case, seed]
         )
 
+    def test_exact_tie_goes_to_the_smaller_rows(self):
+        # Two optima tie in exact arithmetic here; their determinants differ
+        # in the last bit.  As in the exhaustive search, the champion is the
+        # one with the smaller rows, not the one that floating point favours.
+        obj = Objective(w=0.0, criterion=Doptimal())
+        want = exhaustive_search(
+            DesignSpace.single(5, 4, 2, 3, MONOTONE), VC, NO_POWER, obj
+        )
+        res = cross_entropy_search(5, 4, 2, 3, MONOTONE, VC, obj, NO_POWER,
+                                   CEParams(seed=0))
+        rows = [" ".join("".join(map(str, r)) for r in r.best.sequences())
+                for r in (res, want)]
+        assert rows == ["0000 0011 0111 1122 2222"] * 2
+        assert res.criterion_value == want.criterion_value
+
     @pytest.mark.parametrize("equal", [False, True], ids=["any", "equal"])
     @pytest.mark.parametrize("D", [2, 3, 4])
     def test_gathered_sums_equal_count_product(self, monkeypatch, D, equal):
