@@ -25,7 +25,6 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
-import os
 import sys
 import time
 from pathlib import Path
@@ -42,6 +41,7 @@ from .search import (
     CEParams,
     GridSpec,
     Objective,
+    SearchFailure,
     criterion_from_name,
     cross_entropy_search,
     evaluate_design,
@@ -90,12 +90,19 @@ def read_design_csv(path) -> np.ndarray:
     return np.array(rows, dtype=int)
 
 
+def _write_csv(path, rows) -> None:
+    """Write rows of cells as CSV with LF line endings.
+
+    ``str`` of a float cell is its ``repr``, the shortest string that reads
+    back as the same float.
+    """
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.writelines(",".join(map(str, row)) + "\n" for row in rows)
+
+
 def write_design_csv(X, path) -> None:
     """Write an allocation matrix as headerless CSV with LF line endings."""
-    X = np.asarray(X, dtype=int)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for row in X:
-            fh.write(",".join(str(int(v)) for v in row) + "\n")
+    _write_csv(path, np.asarray(X, dtype=int).tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -410,6 +417,11 @@ def _write_meta(run_dir, **extra) -> None:
                run_dir / "meta.json")
 
 
+def _finite(value):
+    """``value``, or None where it is not finite: JSON has no NaN."""
+    return value if math.isfinite(value) else None
+
+
 def _design_payload(design: Design) -> dict:
     return {
         "m": design.m,
@@ -452,21 +464,15 @@ def _report_lines(stats: dict, compare: dict | None) -> list[str]:
 
 def _stats_csv(stats: dict, path) -> None:
     power = stats.get("power")
-    cols = []
-    vals = []
+    row = {}
     if power is not None:
         for f, val in enumerate(power.per_hypothesis, start=1):
-            cols.append(f"power_{f}")
-            vals.append(repr(float(val)))
-        cols.append("power_combined")
-        vals.append(repr(float(power.combined)))
+            row[f"power_{f}"] = val
+        row["power_combined"] = power.combined
     for key, col in (("cost", "cost"), ("D", "det"),
                      ("A", "trace_over_q"), ("E", "max_diag")):
-        cols.append(col)
-        vals.append(repr(float(stats[key])))
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(cols) + "\n")
-        fh.write(",".join(vals) + "\n")
+        row[col] = stats[key]
+    _write_csv(path, [list(row), [float(val) for val in row.values()]])
 
 
 def _power_payload(power) -> dict | None:
@@ -556,24 +562,21 @@ def evaluate(config_path, design_path, compare_path, m_override, seed, out):
     _write_meta(run_dir)
 
 
-def _workers_option(value):
-    if value is not None:
-        return value
-    env = os.environ.get("SWDESIGN_WORKERS")
-    return int(env) if env else 1
+_WORKERS = click.option(
+    "--workers", type=click.IntRange(min=1), default=1,
+    envvar="SWDESIGN_WORKERS",
+    help="Process count; defaults to $SWDESIGN_WORKERS or 1.")
 
 
 @main.command()
 @click.option("--config", "config_path", required=True, type=click.Path(exists=True))
-@click.option("--workers", type=int, default=None,
-              help="Process count; defaults to $SWDESIGN_WORKERS or 1.")
+@_WORKERS
 @click.option("--seed", type=int, default=0)
 @click.option("--out", type=click.Path())
 @click.option("--compare", "compare_path", type=click.Path(exists=True))
 def search(config_path, workers, seed, out, compare_path):
     """Exhaustive admissible-design search."""
     cfg = load_config(config_path)
-    workers = _workers_option(workers)
     vc = _build_vc(cfg.get("model", {}))
     space = _build_space(cfg)
     spec = _build_power(cfg.get("power", {}), space.D - 1)
@@ -603,13 +606,10 @@ def search(config_path, workers, seed, out, compare_path):
             "criterion": objective.criterion.name,
             "w": objective.w,
             "best": _design_payload(result.best) if result.best else None,
-            "criterion_value": result.criterion_value,
-            "cost": result.cost,
-            "objective_value": result.objective_value,
-            "scaling": {
-                k: (None if not np.isfinite(v) else v)
-                for k, v in result.scaling.items()
-            },
+            "criterion_value": _finite(result.criterion_value),
+            "cost": _finite(result.cost),
+            "objective_value": _finite(result.objective_value),
+            "scaling": {k: _finite(v) for k, v in result.scaling.items()},
             "n_evaluated": result.n_evaluated,
             "n_feasible": result.n_feasible,
             "power": _power_payload(result.power),
@@ -620,8 +620,9 @@ def search(config_path, workers, seed, out, compare_path):
     _write_meta(run_dir, workers=workers)
     if result.status == "no-admissible-design":
         click.echo(
-            "no design meets the power requirement; the reported design is "
-            "the unconstrained criterion optimum", err=True,
+            "no design in the space is identifiable" if result.best is None
+            else "no design meets the power requirement; the reported design "
+            "is the unconstrained criterion optimum", err=True,
         )
         sys.exit(EXIT_NO_ADMISSIBLE)
 
@@ -650,9 +651,12 @@ def ce_search(config_path, seed, out):
         params = CEParams(**fields)
     except ValueError as exc:
         raise click.ClickException(f"ce: {exc}") from None
-    result = cross_entropy_search(
-        C, T, m, space.D, space.restrictions, vc, objective, spec, params
-    )
+    try:
+        result = cross_entropy_search(
+            C, T, m, space.D, space.restrictions, vc, objective, spec, params
+        )
+    except SearchFailure as exc:
+        raise click.ClickException(f"space: {exc}") from None
     run_dir = _run_dir(out, config_path, "ce-search")
     stats = dict(evaluate_design(result.best, vc), power=result.power)
     for line in _report_lines(stats, None):
@@ -683,13 +687,12 @@ def ce_search(config_path, seed, out):
 @click.option("--config", "config_path", required=True, type=click.Path(exists=True))
 @click.option("--design", "design_path", type=click.Path(exists=True),
               help="Fixed design for a variance-ratio map.")
-@click.option("--workers", type=int, default=None)
+@_WORKERS
 @click.option("--seed", type=int, default=0)
 @click.option("--out", type=click.Path())
 def sensitivity(config_path, design_path, workers, seed, out):
     """Optimal-design map over a (sigma2_c, sigma2_eps) grid."""
     cfg = load_config(config_path)
-    workers = _workers_option(workers)
     space = _build_space(cfg)
     spec = _build_power(cfg.get("power", {}), space.D - 1)
     objective = _build_objective(cfg.get("objective", {}))
@@ -704,30 +707,23 @@ def sensitivity(config_path, design_path, workers, seed, out):
                                         sensitivity=result)
     except ValueError as exc:
         raise click.ClickException(f"sensitivity: {exc}") from None
+    except SearchFailure as exc:
+        raise click.ClickException(f"space: {exc}") from None
     run_dir = _run_dir(out, config_path, "sensitivity")
-    with open(run_dir / "grid.csv", "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("sigma2_c,sigma2_eps,design_id,criterion_value\n")
-        for i, sc2 in enumerate(result.sigma2_c_values):
-            for j, se2 in enumerate(result.sigma2_eps_values):
-                fh.write(
-                    f"{float(sc2)!r},{float(se2)!r},"
-                    f"{result.design_ids[i, j]},"
-                    f"{float(result.criterion_values[i, j])!r}\n"
-                )
+    axes = [(float(sc2), float(se2)) for sc2 in result.sigma2_c_values
+            for se2 in result.sigma2_eps_values]
+    _write_csv(run_dir / "grid.csv", [
+        ("sigma2_c", "sigma2_eps", "design_id", "criterion_value"),
+        *((*ax, did, float(crit)) for ax, did, crit in zip(
+            axes, result.design_ids.flat, result.criterion_values.flat))])
     designs_payload = {
         did: _design_payload(d) for did, d in result.designs.items()
     }
     payload = {"designs": designs_payload, "seed": seed}
     if X is not None:
-        with open(run_dir / "ratio.csv", "w", encoding="utf-8",
-                  newline="\n") as fh:
-            fh.write("sigma2_c,sigma2_eps,variance_ratio\n")
-            for i, sc2 in enumerate(result.sigma2_c_values):
-                for j, se2 in enumerate(result.sigma2_eps_values):
-                    fh.write(
-                        f"{float(sc2)!r},{float(se2)!r},"
-                        f"{float(ratios[i, j])!r}\n"
-                    )
+        _write_csv(run_dir / "ratio.csv", [
+            ("sigma2_c", "sigma2_eps", "variance_ratio"),
+            *((*ax, float(r)) for ax, r in zip(axes, ratios.flat))])
         payload["ratio_design"] = X.tolist()
     _dump_json(cfg, run_dir / "config.json")
     _dump_json(payload, run_dir / "result.json")

@@ -390,7 +390,7 @@ def sequence_statistics(contributions) -> np.ndarray:
 
 
 def kernel_sums(raw: np.ndarray, T: int, q: int):
-    """``m``- and variance-free sums ``(P, Q, scale)`` of candidates.
+    """Identifiability and ``m``- and variance-free sums of candidates.
 
     Column ``k`` of ``raw`` sums the :func:`sequence_statistics` columns of
     candidate ``k``'s rows, so it holds ``Zbar = sum_s c_s Z_s``,
@@ -400,15 +400,20 @@ def kernel_sums(raw: np.ndarray, T: int, q: int):
         P = sum_s c_s Z_s'Z_s - Zbar'Zbar / C
         Q = sum_s c_s (Z_s'1)(1'Z_s) - (Zbar'1)(1'Zbar) / C
 
-    and ``scale`` is the entry sum of ``Zbar``, which is
-    ``tr(sum_s c_s Z_s'Z_s)`` for 0/1 ``Z_s``.
+    The kernel's ``K = P - gamma Q`` weighs the centred indicator stack by
+    ``I - gamma 11'``, positive definite as ``gamma = b / (a + T b) < 1/T``,
+    so whatever ``m`` and the variances ``K`` is nonsingular exactly when
+    ``P`` is.  A candidate is identifiable when the smallest eigenvalue of
+    ``P`` exceeds ``RANK_RTOL * scale``, with ``scale`` the entry sum of
+    ``Zbar`` (``tr(sum_s c_s Z_s'Z_s)`` for 0/1 ``Z_s``, meaningful at
+    ``q = 1`` unlike the largest eigenvalue): Sylvester's criterion on
+    ``P - RANK_RTOL * scale * I``, with no eigenvalue solver.
 
-    ``P`` and ``Q`` are ``q x q x k`` arrays of entry vectors: ``P[i, j]``
-    is the contiguous length-``k`` vector of entry ``(i, j)`` over the
-    candidates, so the kernel works entry by entry with no per-matrix
-    call.  ``scale`` has length ``k``.  ``P`` and ``Q`` are views of
-    ``raw``, which is overwritten; the entries ``i <= j`` of the ``1 / C``
-    corrections take one product each and are mirrored below the diagonal.
+    Returns the length-``k`` mask ``ident`` and the ``(P, Q)`` of the
+    identifiable candidates as ``q x q x k'`` arrays of entry vectors
+    (``P[i, j]`` is the vector of entry ``(i, j)``), copies that keep no
+    reference to the overwritten ``raw``.  Each entry ``i <= j`` of the
+    ``1 / C`` corrections takes one product and is mirrored.
     """
     Zbar = raw[: q * T].reshape(q, T, -1)
     P = raw[q * T: q * (T + q)].reshape(q, q, -1)
@@ -420,7 +425,9 @@ def kernel_sums(raw: np.ndarray, T: int, q: int):
             Q[i, j] -= Zbar1[i] * Zbar1[j] / C
             if j > i:
                 P[j, i], Q[j, i] = P[i, j], Q[i, j]
-    return P, Q, Zbar1.sum(axis=0)
+    ident = reduce(np.logical_and, (
+        d > 0 for d in _pivots(P, RANK_RTOL * Zbar1.sum(axis=0))))
+    return ident, (P[:, :, ident], Q[:, :, ident])
 
 
 def _pivots(K, shift=0.0):
@@ -484,26 +491,19 @@ def _scaled_inverse(K, a: float) -> np.ndarray:
 
 def covariance_kernel(
     sums, T: int, m: int, vc: VarianceComponents
-) -> tuple[np.ndarray, np.ndarray]:
+) -> np.ndarray:
     """Batched ``Lambda_q`` at one ``(m, vc)`` from :func:`kernel_sums`.
 
     Eliminating ``[mu, pi_2..pi_T]`` gives ``Lambda_q = a (P - gamma Q)^-1``
     with ``gamma = b / (a + T b)`` (the multi-arm form of Hussey & Hughes,
-    2007).  A candidate is identifiable when the smallest eigenvalue of
-    ``K = P - gamma Q`` exceeds ``RANK_RTOL * scale``, a scale that, unlike
-    the largest eigenvalue, is meaningful at ``q = 1``.  That is tested
-    without an eigenvalue solver by Sylvester's criterion on the shifted
-    matrix ``K - RANK_RTOL * scale * I``, and the identifiable ``K`` are
-    inverted by Gauss-Jordan elimination; both work entry by entry on
-    vectors over the candidates, with no LAPACK call.  Returns the mask and
-    the ``k x q x q`` ``Lambda_q`` stack of the identifiable candidates.
+    2007).  ``K = P - gamma Q`` of an identifiable candidate is positive
+    definite, so it is inverted by Gauss-Jordan elimination entry by entry
+    on vectors over the candidates, with no LAPACK call.  Returns the
+    ``k x q x q`` ``Lambda_q`` stack.
     """
-    P, Q, scale = sums
+    P, Q = sums
     a, b = _mean_variances(m, vc)
-    K = P - (b / (a + T * b)) * Q
-    ident = reduce(np.logical_and,
-                   (d > 0 for d in _pivots(K, RANK_RTOL * scale)))
-    return ident, _scaled_inverse(K[:, :, ident], a)
+    return _scaled_inverse(P - (b / (a + T * b)) * Q, a)
 
 
 def information_matrix(design: Design, vc: VarianceComponents) -> np.ndarray:
@@ -548,8 +548,8 @@ def _rank_deficient_labels(M: np.ndarray, T: int, D: int) -> list[str]:
     return bad
 
 
-def _design_kernel(design: Design, vc: VarianceComponents):
-    """:func:`covariance_kernel` of one design from its rows' statistics.
+def _design_sums(design: Design):
+    """``(identifiable, sums)`` of one design from its rows' statistics.
 
     The raw sums add the :func:`sequence_statistics` columns of all ``C``
     rows, repeats included, as the searches gather a candidate's.
@@ -557,18 +557,18 @@ def _design_kernel(design: Design, vc: VarianceComponents):
     stats = sequence_statistics(
         sequence_contributions(design.X, design.T, design.D)
     )
-    sums = kernel_sums(stats.sum(axis=1, keepdims=True), design.T, design.q)
-    ident, Lambda = covariance_kernel(sums, design.T, design.m, vc)
-    return ident[0], Lambda
+    ident, sums = kernel_sums(stats.sum(axis=1, keepdims=True), design.T,
+                              design.q)
+    return ident[0], sums
 
 
 def is_identifiable(design: Design, vc: VarianceComponents) -> bool:
     """Whether the design identifies every fixed effect.
 
     The nuisance effects are always estimable, so this is whether the
-    ``P - gamma Q`` of :func:`covariance_kernel` is nonsingular.
+    ``P`` of :func:`kernel_sums` is nonsingular, whatever ``vc``.
     """
-    return bool(_design_kernel(design, vc)[0])
+    return bool(_design_sums(design)[0])
 
 
 def treatment_covariance(
@@ -588,7 +588,7 @@ def treatment_covariance(
     DegenerateVarianceError
         If the residual variance is zero (singular marginal covariance).
     """
-    ident, Lambda = _design_kernel(design, vc)
+    ident, sums = _design_sums(design)
     if not ident:
         M = information_matrix(design, vc)
         bad = _rank_deficient_labels(M, design.T, design.D)
@@ -596,7 +596,8 @@ def treatment_covariance(
             "design cannot identify the fixed effects; rank-deficient "
             f"columns: {', '.join(bad) if bad else 'unknown'}"
         )
-    Lambda_q = 0.5 * (Lambda[0] + Lambda[0].T)
+    Lambda = covariance_kernel(sums, design.T, design.m, vc)[0]
+    Lambda_q = 0.5 * (Lambda + Lambda.T)
     return CovarianceSummary(
         Lambda_q=Lambda_q, info=1.0 / np.diag(Lambda_q), q=design.q
     )

@@ -469,14 +469,14 @@ def _power_feasible(
 
 
 def _score(sums, T: int, m: int, vc, criterion, spec, seed: int):
-    """``(ident, crit, feasible)`` of candidates from their kernel sums.
+    """``(crit, feasible)`` of identifiable candidates from their sums.
 
-    ``ident`` masks the identifiable candidates; ``crit`` and ``feasible``
-    (:func:`_power_feasible`) cover those candidates only.
+    ``sums`` are the :func:`~swdesign.model.kernel_sums` of those
+    candidates; ``feasible`` is :func:`_power_feasible`.
     """
-    ident, Lambda = covariance_kernel(sums, T, m, vc)
+    Lambda = covariance_kernel(sums, T, m, vc)
     diag = np.diagonal(Lambda, axis1=1, axis2=2)
-    return (ident, criterion.batch(Lambda, diag),
+    return (criterion.batch(Lambda, diag),
             _power_feasible(Lambda, diag, spec, seed))
 
 
@@ -500,25 +500,27 @@ def _merge_leaders(acc: list, later: list) -> list:
 def _scan_chunk(job: dict) -> list:
     """Records of one chunk of a ``(T, C)`` block at every search setting.
 
-    The chunk is enumerated and reduced to its kernel sums once.  Per ``vc``
-    and ``m`` the record is ``(n_evaluated, n_feasible, extrema, feasible,
-    unconstrained)``: the cost and criterion range over identifiable
-    candidates, and the :func:`_merge_leaders` of the feasible and of all
-    identifiable candidates as ``(crit, cost, (m, C, T), rows)`` records.
+    The chunk is enumerated once and reduced to the kernel sums of its
+    identifiable candidates.  Per ``vc`` and ``m`` the record is
+    ``(n_evaluated, n_feasible, extrema, feasible, unconstrained)``: the
+    cost and criterion range over identifiable candidates, and the
+    :func:`_merge_leaders` of the feasible and of all identifiable
+    candidates as ``(crit, cost, (m, C, T), rows)`` records.
     """
     C, T = job["C"], job["T"]
     raw, rows_of = _combo_counts(job)
     k = raw.shape[1]
-    sums = kernel_sums(raw, T, job["D"] - 1)
+    ident, sums = kernel_sums(raw, T, job["D"] - 1)
+    del raw  # the compacted sums are copies: free the chunk's raw sums
+    rows_at = np.nonzero(ident)[0]
 
     def record(vc, m):
-        ident, crit, feasible = _score(
+        if not rows_at.size:
+            return k, 0, None, [], []
+        crit, feasible = _score(
             sums, T, m, vc, job["criterion"], job["spec"], job["seed"]
         )
-        if not crit.size:
-            return k, 0, None, [], []
         cost = float(m * C * T)
-        rows_at = np.nonzero(ident)[0]
 
         def leaders(vals):
             low = vals.min()
@@ -819,13 +821,13 @@ def cross_entropy_search(
         n_evaluated += params.population_size
         # A sample's raw sums add its rows' statistics columns; they are
         # integer-valued, so equal to a count-matrix product bit for bit.
-        sums = stats[:, idx[:, 0]]
+        gathered = stats[:, idx[:, 0]]
         for c in range(1, C):
-            sums += stats[:, idx[:, c]]
-        ident, crit, feasible = _score(
-            kernel_sums(sums, T, D - 1), T, m, vc,
-            objective.criterion, spec, params.seed,
-        )
+            gathered += stats[:, idx[:, c]]
+        ident, sums = kernel_sums(gathered, T, D - 1)
+        del gathered
+        crit, feasible = _score(sums, T, m, vc, objective.criterion, spec,
+                                params.seed)
         raw = np.full(params.population_size, np.inf)
         raw[ident] = crit
         if space.requires_equal_allocation():

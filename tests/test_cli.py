@@ -44,6 +44,27 @@ def reference_config(tmp_path, **extra):
     return write_json(tmp_path / "config.json", cfg)
 
 
+def empty_space_config(tmp_path):
+    """No monotone length-2 sequence gives every one of three arms."""
+    return write_json(tmp_path / "empty.json", {
+        "schema_version": 1,
+        "model": {"rho": 0.05},
+        "space": {"D": 3, "T": [2], "C": [3], "m": [4],
+                  "restrictions": ["monotone", "all-interventions"]},
+        "sensitivity": {"steps": 2},
+    })
+
+
+def assert_one_error(result, exit_code: int, text: str) -> None:
+    """The command ends in exactly one ``Error:`` line holding ``text``."""
+    assert result.exit_code == exit_code, result.output
+    assert isinstance(result.exception, SystemExit)
+    errors = [line for line in result.output.splitlines()
+              if line.startswith("Error: ")]
+    assert len(errors) == 1 and text in errors[0], result.output
+    assert "Traceback" not in result.output
+
+
 @pytest.fixture
 def reference_csv(tmp_path):
     path = tmp_path / "design.csv"
@@ -763,6 +784,51 @@ class TestSearch:
         assert results[0] == results[1]
 
 
+    @pytest.mark.parametrize("command", ["search", "sensitivity"])
+    @pytest.mark.parametrize("args,env", [
+        (["--workers", "0"], None),
+        (["--workers", "-3"], None),
+        ([], "0"),
+        ([], "x"),
+    ], ids=["zero", "negative", "env-zero", "env-text"])
+    def test_workers_must_be_a_positive_integer(
+        self, runner, tmp_path, monkeypatch, command, args, env
+    ):
+        if env is None:
+            monkeypatch.delenv("SWDESIGN_WORKERS", raising=False)
+        else:
+            monkeypatch.setenv("SWDESIGN_WORKERS", env)
+        out = tmp_path / "wrun"
+        result = runner.invoke(
+            main, [command, "--config", self.search_config(tmp_path),
+                   "--out", str(out), *args],
+        )
+        # A usage error: click prints the usage lines, then one Error line.
+        assert_one_error(result, 2, "'--workers'")
+        assert not out.exists()
+
+    def test_space_without_identifiable_design(self, runner, tmp_path):
+        out = tmp_path / "erun"
+        result = runner.invoke(
+            main, ["search", "--config", empty_space_config(tmp_path),
+                   "--out", str(out)],
+        )
+        assert result.exit_code == 3
+        assert result.stderr == "no design in the space is identifiable\n"
+
+        def no_constant(name):
+            raise AssertionError(f"{name} is not valid JSON")
+
+        payload = json.loads((out / "result.json").read_text(),
+                             parse_constant=no_constant)
+        assert payload["status"] == "no-admissible-design"
+        assert payload["best"] is None
+        for key in ("cost", "criterion_value", "objective_value"):
+            assert payload[key] is None
+        assert set(payload["scaling"].values()) == {None}
+        assert not (out / "design.csv").exists()
+
+
 class TestCeSearch:
     def test_requires_single_block(self, runner, tmp_path):
         cfg = write_json(
@@ -806,6 +872,17 @@ class TestCeSearch:
         assert payload["seed"] == 1
         assert (out / "design.csv").exists()
 
+    def test_space_without_identifiable_design(self, runner, tmp_path):
+        out = tmp_path / "erun"
+        result = runner.invoke(
+            main, ["ce-search", "--config", empty_space_config(tmp_path),
+                   "--out", str(out)],
+        )
+        assert_one_error(result, 1, "Error: space: the restrictions admit "
+                         "no sequences")
+        assert result.output.count("\n") == 1
+        assert not out.exists()
+
 
 @pytest.mark.parametrize("command", ["search", "ce-search"])
 def test_winner_power_reported_once(runner, tmp_path, monkeypatch, command):
@@ -847,6 +924,7 @@ def test_winner_power_reported_once(runner, tmp_path, monkeypatch, command):
     payload = json.loads((out / "result.json").read_text())
     assert payload["power"] == json.loads(
         (ev / "result.json").read_text())["power"]
+
 
 
 class TestSensitivity:
@@ -938,6 +1016,17 @@ class TestSensitivity:
             for i, x in enumerate(xs) for j, y in enumerate(ys)
         )
         assert (out / "ratio.csv").read_text() == want
+
+
+    def test_space_without_identifiable_design(self, runner, tmp_path):
+        out = tmp_path / "erun"
+        result = runner.invoke(
+            main, ["sensitivity", "--config", empty_space_config(tmp_path),
+                   "--out", str(out)],
+        )
+        assert_one_error(result, 1, "Error: space: no identifiable design")
+        assert result.output.count("\n") == 1
+        assert not out.exists()
 
 
 class TestAnalytic:

@@ -323,7 +323,8 @@ def test_kernel_matches_information_matrix_on_whole_space(
     raw, counts, _ = scan_block(seqs, T, D, C, equal, cap=97)
     if not equal:
         assert len(counts) == comb(len(seqs) + C - 1, C)
-    ident, Lambda = covariance_kernel(kernel_sums(raw, T, D - 1), T, m, vc)
+    ident, sums = kernel_sums(raw, T, D - 1)
+    Lambda = covariance_kernel(sums, T, m, vc)
     M = _reference_information(counts, seqs, m, T, D, vc)
     vals = np.linalg.eigvalsh(M)
     np.testing.assert_array_equal(ident, vals[:, 0] > vals[:, -1] * RANK_RTOL)
@@ -343,6 +344,32 @@ def test_kernel_matches_information_matrix_on_whole_space(
         treatment_covariance(design, vc).Lambda_q, oracle,
         rtol=0, atol=1e-9 * np.abs(oracle).max(),
     )
+
+
+@pytest.mark.parametrize("T,C,m,D,names,equal", WHOLE_SPACES)
+def test_identifiability_verdict_is_free_of_m_and_variances(
+    T, C, m, D, names, equal
+):
+    # K = P - gamma Q is nonsingular exactly when P is, so the one verdict
+    # of kernel_sums is the full-matrix rank verdict at every setting.
+    from swdesign.designspace import enumerate_sequences, restriction_from_name
+    from swdesign.model import RANK_RTOL, kernel_sums
+
+    seqs = enumerate_sequences(
+        T, D, [restriction_from_name(n) for n in names]
+    )
+    raw, counts, _ = scan_block(seqs, T, D, C, equal)
+    ident, _ = kernel_sums(raw, T, D - 1)
+    assert ident.any()
+    vcs = [VarianceComponents.from_rho(1.0, rho)
+           for rho in (0.0, 0.05, 0.5, 0.999)] + [COHORT_VC]
+    for vc in vcs:
+        for size in (2, m, 50):
+            M = _reference_information(counts, seqs, size, T, D, vc)
+            vals = np.linalg.eigvalsh(M)
+            np.testing.assert_array_equal(
+                ident, vals[:, 0] > vals[:, -1] * RANK_RTOL
+            )
 
 
 # ---------------------------------------------------------------------------
@@ -383,17 +410,28 @@ def _psd_stack(q, rng):
 
 @pytest.mark.parametrize("q", [1, 2, 3, 4])
 def test_entry_kernel_matches_lapack_on_random_stacks(q):
-    from swdesign.model import RANK_RTOL, _mean_variances, covariance_kernel
+    from swdesign.model import (
+        RANK_RTOL,
+        _mean_variances,
+        covariance_kernel,
+        kernel_sums,
+    )
 
     K, scale, kind = _psd_stack(q, np.random.default_rng(q))
     vc, m, T = VarianceComponents.from_rho(1.0, 0.05), 4, 5
-    # With Q = 0 the kernel's P - gamma Q is K itself.
-    entries = np.ascontiguousarray(K.transpose(1, 2, 0))
+    # Raw sums with Zbar = 0, sum Z_s'Z_s = K, C = 1 and Zbar'1 = (scale,
+    # 0, ...), whose (Zbar'1)(1'Zbar) / C cancels the Q block exactly: so
+    # P = K, Q = 0 and the kernel's P - gamma Q is K itself.
+    raw = np.zeros((q * (T + 2 * q + 1) + 1, len(K)))
+    raw[q * T: q * (T + q)] = K.transpose(1, 2, 0).reshape(q * q, -1)
+    raw[q * (T + q)] = scale * scale
+    raw[q * (T + 2 * q)] = scale
+    raw[-1] = 1.0
     # No division by a zero pivot, not even for the zero member.
     with np.errstate(all="raise"):
-        ident, Lambda = covariance_kernel(
-            (entries, np.zeros_like(entries), scale), T, m, vc
-        )
+        ident, sums = kernel_sums(raw, T, q)
+        assert not sums[1].any()
+        Lambda = covariance_kernel(sums, T, m, vc)
     want_ident = np.linalg.eigvalsh(K)[:, 0] > RANK_RTOL * scale
     np.testing.assert_array_equal(ident, want_ident)
     assert want_ident[kind == "above"].all()
@@ -438,9 +476,8 @@ def test_design_rows_sum_like_a_count_product(D):
         seqs, counts = np.unique(Xm, axis=0, return_counts=True)
         stats = sequence_statistics(sequence_contributions(seqs, T, D))
         raw = stats @ counts[:, None].astype(float)
-        ident, Lambda = covariance_kernel(
-            kernel_sums(raw, T, D - 1), T, m, COHORT_VC
-        )
+        ident, sums = kernel_sums(raw, T, D - 1)
+        Lambda = covariance_kernel(sums, T, m, COHORT_VC)
         assert is_identifiable(design, COHORT_VC) == ident[0]
         if ident[0]:
             identifiable += 1

@@ -349,6 +349,35 @@ class TestExhaustiveSearch:
         assert max(c[2] for c in calls) <= 54
         assert len(calls) > 4
 
+    def test_identifiability_is_tested_once_per_chunk(self, monkeypatch):
+        # The shifted Sylvester pass belongs to the chunk, not to each of
+        # its (m, vc) settings.
+        from swdesign import model
+
+        calls = {"shifted": 0, "chunks": 0}
+        pivots, combo_counts = model._pivots, search._combo_counts
+
+        def spy_pivots(K, *shift):
+            calls["shifted"] += bool(shift)
+            return pivots(K, *shift)
+
+        def spy_chunks(job):
+            calls["chunks"] += 1
+            return combo_counts(job)
+
+        monkeypatch.setattr(model, "_pivots", spy_pivots)
+        monkeypatch.setattr(search, "_combo_counts", spy_chunks)
+        obj = Objective(w=0.5, criterion=Doptimal())
+        exhaustive_search(BUDGETED, VC, NO_POWER, obj)
+        assert len(list(BUDGETED.blocks())) > calls["chunks"] > 0
+        assert calls["shifted"] == calls["chunks"]
+        calls.update(shifted=0, chunks=0)
+        grid = GridSpec(sigma2_c_range=(0.02, 0.2),
+                        sigma2_eps_range=(0.5, 1.5), steps=2)
+        sensitivity_map(grid, BUDGETED, obj, NO_POWER)
+        assert calls["chunks"] > 0
+        assert calls["shifted"] == calls["chunks"]
+
     def test_combined_power_integrates_only_candidates_below_every_limit(
         self, monkeypatch
     ):
@@ -517,12 +546,18 @@ class TestExhaustiveSearch:
         values[[1, 3, 4]] = [1 + 1.2 * tau, 1 + 0.6 * tau, 1.0]
         seen = []
 
+        def fake_sums(raw, T, q):
+            # Every candidate counts as identifiable.
+            k = raw.shape[1]
+            return np.ones(k, dtype=bool), (np.zeros((q, q, k)),) * 2
+
         def fake_score(sums, T, m, vc, criterion, spec, seed):
-            k = sums[2].shape[0]
+            k = sums[0].shape[2]
             crit = values[len(seen): len(seen) + k]
             seen.extend(crit)
-            return np.ones(k, dtype=bool), crit, np.ones(k, dtype=bool)
+            return crit, np.ones(k, dtype=bool)
 
+        monkeypatch.setattr(search, "kernel_sums", fake_sums)
         monkeypatch.setattr(search, "_score", fake_score)
         if budget is not None:
             monkeypatch.setattr(search, "_BUDGET", budget)

@@ -71,3 +71,10 @@ def test_search_makes_no_blas_or_lapack_call():
     # Candidates are scored from gathered statistics on entry vectors; a
     # product or a determinant call would bring BLAS or LAPACK back.
     assert dense_calls((SRC / "search.py").read_text(encoding="utf-8")) == []
+
+
+def test_search_leaves_identifiability_to_the_kernel_sums():
+    # model.kernel_sums decides identifiability once per candidate; the
+    # search only reads its mask.
+    source = (SRC / "search.py").read_text(encoding="utf-8")
+    assert "RANK_RTOL" not in source and "_pivots" not in source
