@@ -125,8 +125,11 @@ def equal_allocation(counts) -> np.ndarray:
     matrix when every sequence it uses appears equally often.
     """
     counts = np.asarray(counts)
-    top = counts.max(axis=-1, keepdims=True)
-    return ((counts == top) | (counts == 0)).all(axis=-1)
+    # Nonzero counts sum to at most the top count times their number, with
+    # equality exactly when all of them are the top one.  The test takes one
+    # flag per entry, which the exhaustive scan's memory budget counts.
+    used = (counts > 0).sum(axis=-1)
+    return counts.max(axis=-1) * used == counts.sum(axis=-1)
 
 
 _NAMED = {

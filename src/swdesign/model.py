@@ -45,6 +45,7 @@ __all__ = [
     "sequence_contributions",
     "sequence_statistics",
     "kernel_sums",
+    "design_sums",
     "covariance_kernel",
     "determinant",
     "information_matrix",
@@ -433,12 +434,13 @@ def kernel_sums(raw: np.ndarray, T: int, q: int):
 def _pivots(K, shift=0.0):
     """The LDL' pivots of ``K - shift I`` for ``q x q`` entry vectors ``K``.
 
-    The elimination reads and writes the upper triangle only.  After its
-    first pivot that is not positive a candidate divides by one, so its
-    later pivots stay finite.
+    ``K[i][j]`` is the vector of entry ``(i, j)`` over the candidates.  The
+    elimination reads and writes the upper triangle only.  After its first
+    pivot that is not positive a candidate divides by one, so its later
+    pivots stay finite.
     """
-    q = K.shape[0]
-    A = [[K[i, j] - shift if i == j else K[i, j] for j in range(q)]
+    q = len(K)
+    A = [[K[i][j] - shift if i == j else K[i][j] for j in range(q)]
          for i in range(q)]
     ok = True
     for j in range(q):
@@ -452,25 +454,38 @@ def _pivots(K, shift=0.0):
                     A[i][c] = A[i][c] - f * A[j][c]
 
 
-def determinant(Lambda: np.ndarray) -> np.ndarray:
-    """Determinants of a ``k x q x q`` stack of positive definite matrices.
+def determinant(Lambda) -> np.ndarray:
+    """Determinants of positive definite ``q x q`` entry vectors ``Lambda``.
 
     The product of the LDL' pivots, eliminated entry by entry on vectors
-    over the stack: no row exchanges are needed and no LAPACK call is made.
+    over the candidates: no row exchanges are needed and no LAPACK call is
+    made.
     """
-    return reduce(np.multiply, _pivots(Lambda.transpose(1, 2, 0)))
+    return reduce(np.multiply, _pivots(Lambda))
 
 
-def _scaled_inverse(K, a: float) -> np.ndarray:
-    """``k x q x q`` stack of ``a K^-1`` from ``q x q`` entry vectors.
+def covariance_kernel(sums, T: int, m: int, vc: VarianceComponents) -> list:
+    """Batched ``Lambda_q`` at one ``(m, vc)`` from :func:`kernel_sums`.
 
-    Gauss-Jordan elimination in its symmetric form (the sweep operator):
-    each pivot in turn is eliminated from the upper triangle in place, no
-    pivoting is needed for a positive definite ``K``, and after the last
+    Eliminating ``[mu, pi_2..pi_T]`` gives ``Lambda_q = a (P - gamma Q)^-1``
+    with ``gamma = b / (a + T b)`` (the multi-arm form of Hussey & Hughes,
+    2007).  ``K = P - gamma Q`` of an identifiable candidate is positive
+    definite, so it is inverted by Gauss-Jordan elimination in its
+    symmetric form (the sweep operator) entry by entry on vectors over the
+    candidates, with no LAPACK call: each pivot in turn is eliminated from
+    the upper triangle in place, no pivoting is needed, and after the last
     sweep the upper triangle holds ``-K^-1``.
+
+    Returns ``Lambda_q`` as ``q x q`` entry vectors: ``Lambda[i][j]`` is the
+    vector of entry ``(i, j)`` over the candidates, the same array as
+    ``Lambda[j][i]``.  No ``k x q x q`` stack is formed.
     """
-    q, k = K.shape[0], K.shape[2]
-    A = [[K[i, j] for j in range(q)] for i in range(q)]
+    P, Q = sums
+    a, b = _mean_variances(m, vc)
+    gamma = b / (a + T * b)
+    q = P.shape[0]
+    A = [[P[i, j] - gamma * Q[i, j] if j >= i else None for j in range(q)]
+         for i in range(q)]
     for p in range(q):
         d = 1.0 / A[p][p]
         old = [A[min(i, p)][max(i, p)] for i in range(q)]
@@ -482,28 +497,10 @@ def _scaled_inverse(K, a: float) -> np.ndarray:
         for i in range(q):
             A[min(i, p)][max(i, p)] = col[i]
         A[p][p] = -d
-    out = np.empty((k, q, q))
     for i in range(q):
         for j in range(i, q):
-            out[:, i, j] = out[:, j, i] = -a * A[i][j]
-    return out
-
-
-def covariance_kernel(
-    sums, T: int, m: int, vc: VarianceComponents
-) -> np.ndarray:
-    """Batched ``Lambda_q`` at one ``(m, vc)`` from :func:`kernel_sums`.
-
-    Eliminating ``[mu, pi_2..pi_T]`` gives ``Lambda_q = a (P - gamma Q)^-1``
-    with ``gamma = b / (a + T b)`` (the multi-arm form of Hussey & Hughes,
-    2007).  ``K = P - gamma Q`` of an identifiable candidate is positive
-    definite, so it is inverted by Gauss-Jordan elimination entry by entry
-    on vectors over the candidates, with no LAPACK call.  Returns the
-    ``k x q x q`` ``Lambda_q`` stack.
-    """
-    P, Q = sums
-    a, b = _mean_variances(m, vc)
-    return _scaled_inverse(P - (b / (a + T * b)) * Q, a)
+            A[i][j] *= -a
+    return [[A[min(i, j)][max(i, j)] for j in range(q)] for i in range(q)]
 
 
 def information_matrix(design: Design, vc: VarianceComponents) -> np.ndarray:
@@ -571,22 +568,13 @@ def is_identifiable(design: Design, vc: VarianceComponents) -> bool:
     return bool(_design_sums(design)[0])
 
 
-def treatment_covariance(
-    design: Design, vc: VarianceComponents
-) -> CovarianceSummary:
-    """Covariance ``Lambda_q`` of the treatment-effect estimators.
+def design_sums(design: Design, vc: VarianceComponents):
+    """:func:`kernel_sums` of one design, for :func:`covariance_kernel`.
 
-    The generalized-least-squares covariance of the ``q = D - 1`` treatment
-    effects (:func:`covariance_kernel`) with the per-effect information
-    levels ``1 / Lambda_q[f, f]``; invariant to the order of the clusters.
-
-    Raises
-    ------
-    NonIdentifiableError
-        If the information matrix is rank deficient; the message names the
-        implicated parameter columns.
-    DegenerateVarianceError
-        If the residual variance is zero (singular marginal covariance).
+    They depend on neither ``m`` nor the variances, so a caller that needs
+    the design's ``Lambda_q`` at many settings takes them once.  Raises
+    :class:`NonIdentifiableError`, naming the implicated parameter columns
+    of the information matrix at ``vc``, if the design is not identifiable.
     """
     ident, sums = _design_sums(design)
     if not ident:
@@ -596,8 +584,30 @@ def treatment_covariance(
             "design cannot identify the fixed effects; rank-deficient "
             f"columns: {', '.join(bad) if bad else 'unknown'}"
         )
-    Lambda = covariance_kernel(sums, design.T, design.m, vc)[0]
-    Lambda_q = 0.5 * (Lambda + Lambda.T)
+    return sums
+
+
+def treatment_covariance(
+    design: Design, vc: VarianceComponents
+) -> CovarianceSummary:
+    """Covariance ``Lambda_q`` of the treatment-effect estimators.
+
+    The generalized-least-squares covariance of the ``q = D - 1`` treatment
+    effects (:func:`covariance_kernel` on :func:`design_sums`) with the
+    per-effect information levels ``1 / Lambda_q[f, f]``; invariant to the
+    order of the clusters.
+
+    Raises
+    ------
+    NonIdentifiableError
+        If the information matrix is rank deficient; the message names the
+        implicated parameter columns.
+    DegenerateVarianceError
+        If the residual variance is zero (singular marginal covariance).
+    """
+    sums = design_sums(design, vc)
+    Lambda = covariance_kernel(sums, design.T, design.m, vc)
+    Lambda_q = np.array([[v[0] for v in row] for row in Lambda])
     return CovarianceSummary(
         Lambda_q=Lambda_q, info=1.0 / np.diag(Lambda_q), q=design.q
     )

@@ -49,6 +49,7 @@ from .model import (
     Design,
     VarianceComponents,
     covariance_kernel,
+    design_sums,
     determinant,
     kernel_sums,
     sequence_contributions,
@@ -78,9 +79,10 @@ __all__ = [
     "variance_ratio_map",
 ]
 
-#: Bytes that a block's suffix table, and the raw sums and counts of one
-#: chunk of its candidates, may each take.  It bounds the scan's memory
-#: whatever the size of the space.
+#: Bytes that a block's suffix table and one chunk of its candidates take
+#: together, counting every array the chunk keeps live at its peak
+#: (:func:`_plan`).  It bounds the scan's memory whatever the size of the
+#: space.
 _BUDGET = 1 << 22
 
 #: Relative tolerance under which two criterion (or objective) values are
@@ -107,8 +109,12 @@ class Criterion:
 
     name: str = ""
 
-    def batch(self, Lambda_q: np.ndarray, diag: np.ndarray) -> np.ndarray:
-        """Values of a ``k x q x q`` stack with its ``k x q`` diagonals."""
+    def batch(self, Lambda: list) -> np.ndarray:
+        """Values of ``Lambda_q`` given as ``q x q`` entry vectors.
+
+        ``Lambda[i][j]`` is the vector of entry ``(i, j)`` over the
+        candidates (:func:`~swdesign.model.covariance_kernel`).
+        """
         raise NotImplementedError
 
 
@@ -118,8 +124,8 @@ class Doptimal(Criterion):
 
     name: str = field(default="D", init=False)
 
-    def batch(self, Lambda_q, diag):
-        return determinant(Lambda_q)
+    def batch(self, Lambda):
+        return determinant(Lambda)
 
 
 @dataclass(frozen=True)
@@ -128,8 +134,8 @@ class Aoptimal(Criterion):
 
     name: str = field(default="A", init=False)
 
-    def batch(self, Lambda_q, diag):
-        return diag.mean(axis=1)
+    def batch(self, Lambda):
+        return functools.reduce(np.add, _variances(Lambda)) / len(Lambda)
 
 
 @dataclass(frozen=True)
@@ -138,11 +144,16 @@ class Eoptimal(Criterion):
 
     name: str = field(default="E", init=False)
 
-    def batch(self, Lambda_q, diag):
-        return diag.max(axis=1)
+    def batch(self, Lambda):
+        return functools.reduce(np.maximum, _variances(Lambda))
 
 
 _CRITERIA = {"D": Doptimal, "A": Aoptimal, "E": Eoptimal}
+
+
+def _variances(Lambda: list) -> list:
+    """The diagonal entry vectors of ``Lambda_q``: each effect's variance."""
+    return [Lambda[i][i] for i in range(len(Lambda))]
 
 
 def criterion_from_name(name: str) -> Criterion:
@@ -262,7 +273,7 @@ def criterion_value(summary: CovarianceSummary, criterion: Criterion) -> float:
     vals = np.linalg.eigvalsh(0.5 * (Lambda_q + Lambda_q.T))
     if vals[0] <= 0:
         raise ValueError("Lambda_q must be symmetric positive definite")
-    return float(criterion.batch(Lambda_q[None], np.diag(Lambda_q)[None])[0])
+    return float(criterion.batch(Lambda_q[:, :, None])[0])
 
 
 def evaluate_design(
@@ -291,20 +302,42 @@ def evaluate_design(
 # ---------------------------------------------------------------------------
 
 
-def _plan(n: int, T: int, q: int, C: int, cap: int | None = None):
+def _plan(n: int, T: int, q: int, C: int, cap: int | None = None,
+          equal_alloc: bool = False):
     """``(s, cap)``: suffix length and chunk size of a block of ``n`` rows.
 
-    A candidate takes 8 bytes for each of its ``q (T + 2q + 1) + 1`` raw
-    sums (:func:`~swdesign.model.sequence_statistics`) and a count per
-    row, so ``cap`` of them fit ``_BUDGET``; ``s`` is the longest suffix
-    whose table of ``s``-multisets holds at most ``cap``.
+    A row of the block's suffix table takes 8 bytes for each of its
+    ``F = q (T + 2q + 1) + 1`` raw sums and a count per sequence, and the
+    pool's ``n`` columns of :func:`~swdesign.model.sequence_statistics`
+    take 8 bytes a sum too.  A chunk candidate takes 8 bytes for each of
+    its raw sums, of the ``2 q^2`` entries of its compacted ``P`` and ``Q``
+    (:func:`~swdesign.model.kernel_sums`) and of ``C + 6`` more: its share
+    of its prefix's indices and two offsets, and four vectors that
+    identifiability and scoring keep live beside ``P`` and ``Q``.  Under
+    equal allocation it also takes a count and a flag per sequence while
+    its prefix's mask is built.  ``s`` is the longest suffix whose
+    table and as many candidates as it has rows fit ``_BUDGET``, and
+    ``cap`` candidates fit beside that table.  A chunk holds at least one
+    prefix, whose candidates are at most all the table's rows.  The table
+    takes under half the budget, so building it, with the previous size's
+    table live, fits too.  A given ``cap`` sets ``s`` to the longest suffix
+    whose table holds at most ``cap`` rows.
     """
-    if cap is None:
-        F = q * (T + 2 * q + 1) + 1
-        count_bytes = np.min_scalar_type(C).itemsize
-        cap = max(_BUDGET // (8 * F + n * count_bytes), 1)
-    s = next(s for s in range(C, -1, -1) if comb(n + s - 1, s) <= cap)
-    return s, cap
+    if cap is not None:
+        return next(s for s in range(C, -1, -1)
+                    if comb(n + s - 1, s) <= cap), cap
+    F = q * (T + 2 * q + 1) + 1
+    per = 8 * (F + 2 * q * q + C + 6)
+    if equal_alloc:
+        per += n * (np.min_scalar_type(C).itemsize + 1)
+
+    def table(s):
+        row = 8 * F + n * np.min_scalar_type(s).itemsize
+        return comb(n + s - 1, s) * row + n * 8 * F
+
+    s = next((s for s in range(C, 0, -1)
+              if table(s) + comb(n + s - 1, s) * per <= _BUDGET), 0)
+    return s, max((_BUDGET - table(s)) // per, 1)
 
 
 def _prefixes(first: tuple, n: int):
@@ -364,6 +397,9 @@ def _suffix_table(seqs: tuple, T: int, D: int, s: int):
     starting at ``j`` are ``j`` followed by the previous size's table from
     its first index ``j`` on.  Only the last block's table is kept.
     """
+    # Drop the previous block's table before this one is built, so that
+    # the two are never live together.
+    _suffix_table.cache_clear()
     stats = sequence_statistics(sequence_contributions(seqs, T, D))
     n = len(seqs)
     dtype = np.min_scalar_type(s)
@@ -392,42 +428,55 @@ def _combo_counts(job: dict):
     plus those rows': one broadcast add per prefix, in stream order (the
     lexicographic order of canonical rows).  The sums are integer-valued,
     so they equal a count-matrix product bit for bit.  Under equal
-    allocation only the candidates that meet it are kept.  Returns the
+    allocation only the rows that meet it are summed.  Returns the
     ``F x k`` raw sums and ``rows_of(j)``, the rows of kept candidate ``j``.
     """
-    seqs, n = job["seqs"], len(job["seqs"])
+    seqs, n, s = job["seqs"], len(job["seqs"]), job["s"]
     stats, table, table_counts = _suffix_table(
-        tuple(seqs), job["T"], job["D"], job["s"]
+        tuple(seqs), job["T"], job["D"], s
     )
     S = table.shape[1]
-    prefixes = [p for p, _ in zip(_prefixes(job["first"], n),
-                                  range(job["count"]))]
-    offs = _tail_offsets(n, job["s"])[[p[-1] if p else 0 for p in prefixes]]
-    ends = np.cumsum(S - offs)
-    raw = np.empty((len(stats), ends[-1]))
-    for p, o, hi in zip(prefixes, offs, ends):
-        np.add(table[:, o:], stats[:, list(p)].sum(axis=1, keepdims=True),
-               out=raw[:, hi - (S - o): hi])
+    # One row of indices per prefix, not a tuple each: _plan allows a
+    # prefix 8 bytes per index.
+    prefixes = np.array(
+        list(itertools.islice(_prefixes(job["first"], n), job["count"])),
+        dtype=np.intp,
+    ).reshape(job["count"], job["C"] - s)
+    last = prefixes[:, -1] if s < job["C"] else np.zeros(1, dtype=np.intp)
+    offs = _tail_offsets(n, s)[last]
 
     def counts_of(i, rows):
         # Prefix plus suffix counts reach C: add them in a type that holds
         # C, not in bincount's int64.
         return table_counts[rows] + np.bincount(
-            np.array(prefixes[i], dtype=int), minlength=n
+            prefixes[i], minlength=n
         ).astype(np.min_scalar_type(job["C"]))
 
-    kept = np.arange(raw.shape[1])
+    kept = None
+    sizes = S - offs
     if job["equal_alloc"]:
-        kept = kept[np.concatenate([
-            equal_allocation(counts_of(i, slice(o, None)))
+        kept = [
+            o + np.flatnonzero(equal_allocation(counts_of(i, slice(o, None))))
             for i, o in enumerate(offs)
-        ])]
-        raw = raw[:, kept]
+        ]
+        sizes = np.array([len(r) for r in kept], dtype=np.intp)
+    ends = np.cumsum(sizes)
+    raw = np.empty((len(stats), ends[-1]))
+    for i, (size, hi) in enumerate(zip(sizes, ends)):
+        out = raw[:, hi - size: hi]
+        prefix = stats[:, prefixes[i]].sum(axis=1, keepdims=True)
+        if kept is None:
+            np.add(table[:, offs[i]:], prefix, out=out)
+        else:
+            # "clip" writes straight into out; the rows are in range.
+            np.take(table, kept[i], axis=1, out=out, mode="clip")
+            out += prefix
 
     def rows_of(j):
-        i = int(np.searchsorted(ends, kept[j], side="right"))
-        counts = counts_of(i, S - ends[i] + kept[j])
-        return tuple(s for s, c in zip(seqs, counts) for _ in range(c))
+        i = int(np.searchsorted(ends, j, side="right"))
+        at = j - (ends[i] - sizes[i])
+        counts = counts_of(i, offs[i] + at if kept is None else kept[i][at])
+        return tuple(seq for seq, c in zip(seqs, counts) for _ in range(c))
 
     return raw, rows_of
 
@@ -439,27 +488,29 @@ def _check_delta(spec: PowerSpec, D: int) -> None:
         )
 
 
-def _power_feasible(
-    Lambda: np.ndarray, diag: np.ndarray, spec: PowerSpec, seed: int
-) -> np.ndarray:
-    """Mask of the candidates whose ``Lambda`` meets the power requirement.
+def _power_feasible(Lambda: list, spec: PowerSpec, seed: int) -> np.ndarray:
+    """Mask of the candidates whose ``Lambda_q`` meets the power requirement.
 
-    Individual power is a variance threshold per effect.  Combined power is
-    at least every effect's individual power, so a candidate that meets any
-    one threshold has it; only the candidates that miss every threshold
-    need the combined-power orthant integral.
+    ``Lambda`` holds ``q x q`` entry vectors.  Individual power is a
+    variance threshold per effect.  Combined power is at least every
+    effect's individual power, so a candidate that meets any one threshold
+    has it; only the candidates that miss every threshold need the
+    combined-power orthant integral, and only they get a ``q x q`` matrix.
     """
+    var = _variances(Lambda)
     if spec.beta >= 1:
-        return np.ones(Lambda.shape[0], dtype=bool)
-    q = Lambda.shape[1]
+        return np.ones(var[0].shape, dtype=bool)
+    q = len(var)
     e = critical_value(spec.alpha, q, spec.correction)
-    meets = diag <= variance_limits(spec.delta, e, spec.beta)
+    meets = [v <= lim for v, lim in
+             zip(var, variance_limits(spec.delta, e, spec.beta))]
     if spec.power_type != "combined":
-        return meets.all(axis=1)
-    feasible = meets.any(axis=1)
+        return functools.reduce(np.logical_and, meets)
+    feasible = functools.reduce(np.logical_or, meets)
     for i in np.nonzero(~feasible)[0]:
-        sd = np.sqrt(diag[i])
-        corr = Lambda[i] / np.outer(sd, sd)
+        cov = np.array([[v[i] for v in row] for row in Lambda])
+        sd = np.sqrt(np.diag(cov))
+        corr = cov / np.outer(sd, sd)
         np.fill_diagonal(corr, 1.0)
         none_reject = mvn_upper_orthant(
             np.full(q, e), spec.delta / sd, corr, seed
@@ -475,9 +526,7 @@ def _score(sums, T: int, m: int, vc, criterion, spec, seed: int):
     candidates; ``feasible`` is :func:`_power_feasible`.
     """
     Lambda = covariance_kernel(sums, T, m, vc)
-    diag = np.diagonal(Lambda, axis1=1, axis2=2)
-    return (criterion.batch(Lambda, diag),
-            _power_feasible(Lambda, diag, spec, seed))
+    return criterion.batch(Lambda), _power_feasible(Lambda, spec, seed)
 
 
 def _merge_leaders(acc: list, later: list) -> list:
@@ -666,7 +715,8 @@ def _search(
         dict(common, seqs=seqs, C=C, T=T, ms=ms, s=s, first=first,
              count=count)
         for T, C, ms, seqs in blocks
-        for s, cap in [_plan(len(seqs), T, space.D - 1, C)]
+        for s, cap in [_plan(len(seqs), T, space.D - 1, C,
+                             equal_alloc=common["equal_alloc"])]
         for first, count in _group_prefixes(len(seqs), C, s, cap)
     )
 
@@ -994,10 +1044,19 @@ def variance_ratio_map(
         grid, space, objective, spec, workers=workers, seed=seed
     )
     xs, ys = sens.sigma2_c_values, sens.sigma2_eps_values
+    vc0 = VarianceComponents(sigma2_c=xs[0], sigma2_eps=ys[0])
+
+    def first_variance(design):
+        # Kernel sums depend on neither m nor the variances: each design's
+        # are taken once and finished at every point.
+        sums = design_sums(design, vc0)
+        return lambda vc: covariance_kernel(sums, design.T, design.m,
+                                            vc)[0][0][0]
+
+    fix = first_variance(fixed)
+    opt = {did: first_variance(d) for did, d in sens.designs.items()}
     out = np.empty(sens.design_ids.shape)
     for (i, j), did in np.ndenumerate(sens.design_ids):
         vc = VarianceComponents(sigma2_c=xs[i], sigma2_eps=ys[j])
-        opt_var = treatment_covariance(sens.designs[did], vc).Lambda_q[0, 0]
-        fix_var = treatment_covariance(fixed, vc).Lambda_q[0, 0]
-        out[i, j] = fix_var / opt_var
+        out[i, j] = fix(vc) / opt[did](vc)
     return out

@@ -183,6 +183,20 @@ PARALLEL_X = SENSITIVITY_DESIGNS[7]
 STAGGERED_X = SENSITIVITY_DESIGNS[2]
 
 
+#: Whole spaces small enough for full-matrix oracles, q = 1..3:
+#: ``(T, C, m, D, restriction names, equal allocation)``.
+WHOLE_SPACES = [
+    (3, 3, 2, 2, (), False),
+    (4, 4, 5, 2, ("monotone",), False),
+    (3, 4, 3, 2, (), True),
+    (3, 3, 4, 3, ("monotone", "identifiable"), False),
+    (3, 2, 2, 3, (), False),
+    (4, 6, 2, 3, ("monotone",), True),
+    (3, 3, 3, 4, ("monotone",), False),
+    (3, 2, 2, 4, (), False),
+]
+
+
 @pytest.fixture(scope="session")
 def reference_design():
     from swdesign import Design

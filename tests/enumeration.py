@@ -82,7 +82,7 @@ def scan_block(seqs, T: int, D: int, C: int, equal_alloc: bool = False,
     back from each candidate's rows, and the chunk sizes.
     """
     n = len(seqs)
-    split, cap = search._plan(n, T, D - 1, C, cap)
+    split, cap = search._plan(n, T, D - 1, C, cap, equal_alloc)
     s = split if s is None else s
     index = {tuple(seq): i for i, seq in enumerate(seqs)}
     raws, counts, sizes = [], [], []

@@ -31,7 +31,7 @@ from swdesign.model import (
 
 from enumeration import scan_block
 
-from conftest import REFERENCE_X, X
+from conftest import REFERENCE_X, WHOLE_SPACES, X
 
 
 # ---------------------------------------------------------------------------
@@ -284,18 +284,6 @@ class TestTreatmentCovariance:
 
 COHORT_VC = VarianceComponents(0.05, 0.02, 0.1, 0.83)
 
-WHOLE_SPACES = [
-    # (T, C, m, D, restriction names, equal allocation)
-    (3, 3, 2, 2, (), False),
-    (4, 4, 5, 2, ("monotone",), False),
-    (3, 4, 3, 2, (), True),
-    (3, 3, 4, 3, ("monotone", "identifiable"), False),
-    (3, 2, 2, 3, (), False),
-    (4, 6, 2, 3, ("monotone",), True),
-    (3, 3, 3, 4, ("monotone",), False),
-    (3, 2, 2, 4, (), False),
-]
-
 
 def _reference_information(counts, seqs, m, T, D, vc):
     """Information matrices of every candidate from the explicit ``V``."""
@@ -324,7 +312,7 @@ def test_kernel_matches_information_matrix_on_whole_space(
     if not equal:
         assert len(counts) == comb(len(seqs) + C - 1, C)
     ident, sums = kernel_sums(raw, T, D - 1)
-    Lambda = covariance_kernel(sums, T, m, vc)
+    Lambda = np.transpose(covariance_kernel(sums, T, m, vc), (2, 0, 1))
     M = _reference_information(counts, seqs, m, T, D, vc)
     vals = np.linalg.eigvalsh(M)
     np.testing.assert_array_equal(ident, vals[:, 0] > vals[:, -1] * RANK_RTOL)
@@ -431,7 +419,7 @@ def test_entry_kernel_matches_lapack_on_random_stacks(q):
     with np.errstate(all="raise"):
         ident, sums = kernel_sums(raw, T, q)
         assert not sums[1].any()
-        Lambda = covariance_kernel(sums, T, m, vc)
+        Lambda = np.transpose(covariance_kernel(sums, T, m, vc), (2, 0, 1))
     want_ident = np.linalg.eigvalsh(K)[:, 0] > RANK_RTOL * scale
     np.testing.assert_array_equal(ident, want_ident)
     assert want_ident[kind == "above"].all()
@@ -454,8 +442,9 @@ def test_determinant_matches_lapack_on_random_stacks(q):
     K, _, kind = _psd_stack(q, np.random.default_rng(10 + q))
     K = K[kind == "random"]
     want = np.linalg.det(K)
-    assert (np.abs(determinant(K) - want) <= 1e-12 * want).all()
-    assert determinant(K[:0]).shape == (0,)
+    assert (np.abs(determinant(K.transpose(1, 2, 0)) - want)
+            <= 1e-12 * want).all()
+    assert determinant(K[:0].transpose(1, 2, 0)).shape == (0,)
 
 
 @pytest.mark.parametrize("D", [2, 3, 4])
@@ -477,7 +466,8 @@ def test_design_rows_sum_like_a_count_product(D):
         stats = sequence_statistics(sequence_contributions(seqs, T, D))
         raw = stats @ counts[:, None].astype(float)
         ident, sums = kernel_sums(raw, T, D - 1)
-        Lambda = covariance_kernel(sums, T, m, COHORT_VC)
+        Lambda = np.transpose(covariance_kernel(sums, T, m, COHORT_VC),
+                              (2, 0, 1))
         assert is_identifiable(design, COHORT_VC) == ident[0]
         if ident[0]:
             identifiable += 1

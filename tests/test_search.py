@@ -49,7 +49,7 @@ from swdesign.model import (
 )
 from swdesign.search import _draw_rows
 
-from conftest import X, row_multiset
+from conftest import WHOLE_SPACES, X, row_multiset
 from enumeration import enumerate_designs, scan_block
 
 
@@ -209,7 +209,7 @@ def tied_brute_force(spec, criterion, w):
     the scaled objective, ties going to lower cost, then smaller rows.
     """
     designs = tied_reference()
-    crits = [float(criterion.batch(L[None], np.diag(L)[None])[0])
+    crits = [float(criterion.batch(L[:, :, None])[0])
              for _, _, L in designs]
     gmin, gmax = min(crits), max(crits)
     costs = [m * 9.0 for m, _, _ in designs]
@@ -328,8 +328,8 @@ class TestExhaustiveSearch:
             return raw, rows_of
 
         monkeypatch.setattr(search, "_combo_counts", counted)
-        # A candidate takes 8 bytes per raw sum and one per count: 146
-        # bytes at T = 3 and 167 at T = 4, so at most 54 in one chunk.
+        # A candidate takes over 146 bytes here (search._plan), so at most
+        # 54 fit in one chunk.
         monkeypatch.setattr(search, "_BUDGET", 8000)
         exhaustive_search(
             BUDGETED, VC, NO_POWER, Objective(w=0.5, criterion=Eoptimal())
@@ -529,8 +529,9 @@ class TestExhaustiveSearch:
 
         want = outcome(search._BUDGET)
         assert 0 < want[3] < 1980
-        # A candidate takes 146 bytes here: one candidate a chunk, then
-        # suffixes of up to 1, 2 and 3 of a candidate's (at most 4) rows.
+        # One candidate a chunk at the two smallest budgets (search._plan
+        # counts the table and each candidate's working set), then
+        # suffixes of 1 and 2 of a candidate's (at most 4) rows.
         for budget in (1, 2_000, 10_000, 40_000):
             assert outcome(budget) == want
 
@@ -657,7 +658,7 @@ class TestChunkStream:
         # 1,024 sequences: a prefix's candidates are up to 1,024 table
         # rows, whose counts take 1 MiB as bytes but 8 MiB as int64.
         seqs = enumerate_sequences(10, 2, ())
-        s, cap = search._plan(len(seqs), 10, 1, 2)
+        s, cap = search._plan(len(seqs), 10, 1, 2, equal_alloc=True)
         first, count = next(search._group_prefixes(len(seqs), 2, s, cap))
         search._suffix_table.cache_clear()
         tracemalloc.start()
@@ -669,8 +670,10 @@ class TestChunkStream:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert (s, count, raw.shape[1]) == (1, 3, 1024 + 1023 + 1022)
-        assert peak < 2 * search._BUDGET
+        # The table of 1,024 rows takes 1.2 MB of the budget, so one
+        # prefix's candidates fill the chunk.
+        assert (s, count, raw.shape[1]) == (1, 1, 1024)
+        assert peak <= search._BUDGET
 
     def test_chunks_bound_traced_memory(self):
         # T = 5, C = 6, D = 3: 230,230 candidates, about 39 MB of raw sums
@@ -688,6 +691,40 @@ class TestChunkStream:
             tracemalloc.stop()
         assert res.n_evaluated == comb(20 + 6, 6) == 230_230
         assert peak < 4 * search._BUDGET
+
+    def test_search_peak_stays_within_the_budget(self, monkeypatch):
+        # The budget counts the suffix table and everything a chunk keeps
+        # live at its peak: raw sums, compacted P and Q, scoring vectors.
+        # Three arms, T and C in 2..5: the largest chunks fill the budget.
+        space = DesignSpace.budgeted(
+            [2, 3, 4, 5], [2, 3, 4, 5], 2, 24, 3,
+            (MonotoneNondecreasing(), Identifiable()),
+        )
+        spec = PowerSpec(alpha=0.05, beta=0.2, delta=[1.5, 0.75])
+        chunks = []
+        combo_counts = search._combo_counts
+
+        def sized(job):
+            raw, rows_of = combo_counts(job)
+            n = len(job["seqs"])
+            s, cap = search._plan(n, job["T"], 2, job["C"])
+            chunks.append((raw.shape[1], cap - comb(n + s - 1, s)))
+            return raw, rows_of
+
+        monkeypatch.setattr(search, "_combo_counts", sized)
+        search._suffix_table.cache_clear()
+        tracemalloc.start()
+        try:
+            res = exhaustive_search(space, VC, spec,
+                                    Objective(w=0.5, criterion=Eoptimal()))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res.status == "ok" and res.n_evaluated == 300_663
+        # The largest chunk is within one table's rows of the cap.
+        size, room = max(chunks)
+        assert size > room
+        assert peak <= search._BUDGET
 
 
 # ---------------------------------------------------------------------------
@@ -982,6 +1019,151 @@ class TestCrossEntropy:
 
 
 # ---------------------------------------------------------------------------
+# Entry-vector scoring against the k x q x q stack it replaced
+# ---------------------------------------------------------------------------
+
+
+def stack_score(sums, T, m, vc, criterion, spec, seed):
+    """``(crit, feasible)`` through a ``k x q x q`` ``Lambda_q`` stack.
+
+    The reference for the entry-vector scoring: the stack is filled from
+    the same sweep, its diagonals are read with ``np.diagonal``, D takes
+    the pivots of the transposed stack, and combined power integrates the
+    candidates that miss every limit.
+    """
+    from swdesign.model import _mean_variances, _pivots
+
+    P, Q = sums
+    a, b = _mean_variances(m, vc)
+    K = P - (b / (a + T * b)) * Q
+    q, k = K.shape[0], K.shape[2]
+    A = [[K[i, j] for j in range(q)] for i in range(q)]
+    for p in range(q):
+        d = 1.0 / A[p][p]
+        old = [A[min(i, p)][max(i, p)] for i in range(q)]
+        col = [v * d for v in old]
+        for i in range(q):
+            for j in range(i, q):
+                if p not in (i, j):
+                    A[i][j] = A[i][j] - col[i] * old[j]
+        for i in range(q):
+            A[min(i, p)][max(i, p)] = col[i]
+        A[p][p] = -d
+    Lambda = np.empty((k, q, q))
+    for i in range(q):
+        for j in range(i, q):
+            Lambda[:, i, j] = Lambda[:, j, i] = -a * A[i][j]
+    diag = np.diagonal(Lambda, axis1=1, axis2=2)
+    crit = {
+        "D": lambda: functools.reduce(
+            np.multiply, _pivots(Lambda.transpose(1, 2, 0))),
+        "A": lambda: diag.mean(axis=1),
+        "E": lambda: diag.max(axis=1),
+    }[criterion.name]()
+    if spec.beta >= 1:
+        return crit, np.ones(k, dtype=bool)
+    e = critical_value(spec.alpha, q, spec.correction)
+    meets = diag <= variance_limits(spec.delta, e, spec.beta)
+    if spec.power_type != "combined":
+        return crit, meets.all(axis=1)
+    feasible = meets.any(axis=1)
+    for i in np.nonzero(~feasible)[0]:
+        sd = np.sqrt(diag[i])
+        corr = Lambda[i] / np.outer(sd, sd)
+        np.fill_diagonal(corr, 1.0)
+        none_reject = search.mvn_upper_orthant(
+            np.full(q, e), spec.delta / sd, corr, seed
+        )
+        feasible[i] = 1.0 - none_reject >= 1.0 - spec.beta
+    return crit, feasible
+
+
+def assert_scores_like_the_stack(*args, score=search._score):
+    """``search._score(*args)``, checked bit for bit against the stack."""
+    got, want = score(*args), stack_score(*args)
+    assert got[0].tobytes() == want[0].tobytes()
+    np.testing.assert_array_equal(got[1], want[1])
+    return got
+
+
+class TestEntryVectorScoring:
+    @pytest.mark.parametrize("power", ["none", "individual", "combined"])
+    @pytest.mark.parametrize("T,C,m,D,names,equal", WHOLE_SPACES + [
+        (3, 3, 2, 5, ("monotone",), False),
+    ])
+    def test_whole_space_scores_equal_the_stack_path(
+        self, T, C, m, D, names, equal, power
+    ):
+        from swdesign.designspace import restriction_from_name
+        from swdesign.model import kernel_sums
+
+        seqs = enumerate_sequences(
+            T, D, [restriction_from_name(n) for n in names]
+        )
+        raw, _, _ = scan_block(seqs, T, D, C, equal)
+        _, (P, Q) = kernel_sums(raw, T, D - 1)
+        q = D - 1
+        if power == "combined":
+            # Every candidate below all limits takes one orthant integral,
+            # and at q = 4 one takes tens of milliseconds: score a spread.
+            step = -(-P.shape[2] // (150 if q < 4 else 20))
+            P, Q = P[:, :, ::step], Q[:, :, ::step]
+        spec = NO_POWER
+        if power != "none":
+            # Limits at the median variances, so the individual masks are
+            # mixed; under combined power at the 5th percentile, so that
+            # most candidates miss every limit and take the integral.
+            var = np.transpose(
+                search.covariance_kernel((P, Q), T, m, VC), (2, 0, 1)
+            ).diagonal(axis1=1, axis2=2)
+            unit = variance_limits(
+                [1.0], critical_value(0.05, q, "bonferroni"), 0.2
+            )
+            level = 0.05 if power == "combined" else 0.5
+            delta = np.sqrt(np.quantile(var, level, axis=0) / unit)
+            spec = PowerSpec(alpha=0.05, beta=0.2, delta=list(delta),
+                             power_type=power)
+            if power == "combined":
+                assert (var > delta**2 * unit).all(axis=1).any()
+        for name in "DAE":
+            crit, feasible = assert_scores_like_the_stack(
+                (P, Q), T, m, VC, criterion_from_name(name), spec, 0
+            )
+            assert crit.shape == feasible.shape == (P.shape[2],)
+            if power == "individual":
+                assert feasible.any() and not feasible.all()
+
+    @pytest.mark.parametrize("case", sorted(CE_CASES))
+    def test_cross_entropy_scores_equal_the_stack_path(self, monkeypatch,
+                                                        case):
+        calls = []
+
+        def checked(*args):
+            calls.append(1)
+            return assert_scores_like_the_stack(*args)
+
+        monkeypatch.setattr(search, "_score", checked)
+        res = run_ce_case(case)
+        rows = " ".join("".join(map(str, r)) for r in res.best.sequences())
+        assert (res.status, res.criterion_value, res.n_evaluated, rows) == (
+            CE_GOLDEN[case, 0]
+        )
+        assert calls
+
+    def test_kernel_returns_shared_entry_vectors(self):
+        from swdesign.model import kernel_sums
+
+        seqs = enumerate_sequences(3, 4, (MonotoneNondecreasing(),))
+        raw, _, _ = scan_block(seqs, 3, 4, 3)
+        _, sums = kernel_sums(raw, 3, 3)
+        Lambda = search.covariance_kernel(sums, 3, 2, VC)
+        assert len(Lambda) == 3 and all(len(row) == 3 for row in Lambda)
+        for i, j in itertools.product(range(3), repeat=2):
+            assert Lambda[i][j].shape == (sums[0].shape[2],)
+            assert Lambda[i][j] is Lambda[j][i]
+
+
+# ---------------------------------------------------------------------------
 # Sensitivity grids
 # ---------------------------------------------------------------------------
 
@@ -1063,6 +1245,40 @@ class TestSensitivity:
         opt = res.designs[res.design_ids[0, 0]]
         variance_ratio_map(opt.X, grid, space, obj, NO_POWER, m=2)
         assert 1 <= len(calls) <= 2
+
+    def test_ratio_map_finishes_each_design_once_summed(self, monkeypatch):
+        # Each design's kernel sums are taken once and finished at every
+        # point; the ratios are the per-point treatment_covariance ratios
+        # bit for bit.
+        space = small_space(C=4, T=4, m=2, D=2)
+        obj = Objective(w=0.0, criterion=Eoptimal())
+        grid = GridSpec(
+            sigma2_c_range=(0.02, 0.2), sigma2_eps_range=(0.5, 1.5), steps=3
+        )
+        sens = sensitivity_map(grid, space, obj, NO_POWER)
+        fixed = Design(2, 4, 4, X("0000", "0001", "0011", "0111"), 2)
+        xs, ys = grid.points()
+        want = np.empty((3, 3))
+        for i, j in np.ndindex(3, 3):
+            vc = VarianceComponents(sigma2_c=xs[i], sigma2_eps=ys[j])
+            opt = sens.designs[sens.design_ids[i, j]]
+            want[i, j] = (treatment_covariance(fixed, vc).Lambda_q[0, 0]
+                          / treatment_covariance(opt, vc).Lambda_q[0, 0])
+        summed = []
+
+        def counted(design, vc, finish=search.design_sums):
+            summed.append(design)
+            return finish(design, vc)
+
+        def no_covariance(*args):
+            raise AssertionError("per-point treatment_covariance")
+
+        monkeypatch.setattr(search, "design_sums", counted)
+        monkeypatch.setattr(search, "treatment_covariance", no_covariance)
+        got = variance_ratio_map(fixed.X, grid, space, obj, NO_POWER,
+                                 sensitivity=sens)
+        assert got.tobytes() == want.tobytes()
+        assert len(summed) == len(sens.designs) + 1
 
     def test_ratio_map_at_least_one_and_exact_at_optimum(self):
         space = small_space(C=4, T=4, m=2, D=2)

@@ -78,3 +78,39 @@ def test_search_leaves_identifiability_to_the_kernel_sums():
     # search only reads its mask.
     source = (SRC / "search.py").read_text(encoding="utf-8")
     assert "RANK_RTOL" not in source and "_pivots" not in source
+
+
+def lambda_stacks(source: str) -> list[str]:
+    """``diagonal`` reads and arrays allocated with a three-entry shape."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and node.attr == "diagonal":
+            found.append(f"diagonal (line {node.lineno})")
+        elif (isinstance(node, ast.Call)
+              and isinstance(node.func, ast.Attribute)
+              and node.func.attr in ("empty", "zeros", "ones", "full")
+              and node.args and isinstance(node.args[0], ast.Tuple)
+              and len(node.args[0].elts) == 3):
+            found.append(f"{node.func.attr} (line {node.lineno})")
+    return sorted(found)
+
+
+def test_checker_flags_diagonals_and_stacks():
+    source = ("import numpy as np\nd = np.diagonal(L, axis1=1, axis2=2)\n"
+              "L = np.empty((k, q, q))\nM = np.zeros((q, q))\n")
+    assert lambda_stacks(source) == ["diagonal (line 2)", "empty (line 3)"]
+
+
+def test_scan_path_keeps_lambda_as_entry_vectors():
+    # The kernel returns Lambda_q as q x q entry vectors and the search
+    # reads them as such: no k x q x q stack and no diagonal of one.
+    import inspect
+
+    from swdesign import model
+
+    kernel = "".join(inspect.getsource(f) for f in (
+        model.kernel_sums, model._pivots, model.determinant,
+        model.covariance_kernel,
+    ))
+    assert lambda_stacks(kernel) == []
+    assert lambda_stacks((SRC / "search.py").read_text(encoding="utf-8")) == []
