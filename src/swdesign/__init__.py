@@ -40,10 +40,8 @@ from .model import (
     CovarianceSummary,
     DegenerateVarianceError,
     Design,
-    ModelMatrices,
     NonIdentifiableError,
     VarianceComponents,
-    build_model_matrices,
     is_identifiable,
     treatment_covariance,
 )

@@ -518,12 +518,20 @@ def _common_eval(cfg, design_path, m_override):
     return design, vc, spec if spec.q == design.q else None
 
 
+def _evaluate(design, vc, spec, seed, field: str = ""):
+    try:
+        return evaluate_design(design, vc, spec, seed)
+    except NonIdentifiableError as exc:
+        raise click.ClickException(
+            f"{field}design is not identifiable: {exc}") from None
+
+
 def _comparator_stats(cfg, compare_path, vc, spec, seed, D, m):
     if not compare_path:
         return None
     X = read_design_csv(compare_path)
     design = _design(X, cfg.get("compare", {}).get("m", m), D, "compare")
-    return evaluate_design(design, vc, spec, seed)
+    return _evaluate(design, vc, spec, seed, "compare: ")
 
 
 @main.command()
@@ -536,11 +544,8 @@ def _comparator_stats(cfg, compare_path, vc, spec, seed, D, m):
 def evaluate(config_path, design_path, compare_path, m_override, seed, out):
     """Report criteria, cost and power for a design given as CSV."""
     cfg = load_config(config_path)
-    try:
-        design, vc, spec = _common_eval(cfg, design_path, m_override)
-        stats = evaluate_design(design, vc, spec, seed)
-    except NonIdentifiableError as exc:
-        raise click.ClickException(f"design is not identifiable: {exc}")
+    design, vc, spec = _common_eval(cfg, design_path, m_override)
+    stats = _evaluate(design, vc, spec, seed)
     compare = _comparator_stats(
         cfg, compare_path, vc, spec, seed, design.D, design.m
     )
@@ -588,13 +593,13 @@ def search(config_path, workers, seed, out, compare_path):
         )
     except CandidateCapExceeded as exc:
         raise click.ClickException(str(exc))
-    run_dir = _run_dir(out, config_path, "search")
     cfg_power = spec if spec.q == space.D - 1 else None
+    compare = None if result.best is None else _comparator_stats(
+        cfg, compare_path, vc, cfg_power, seed, space.D, result.best.m
+    )
+    run_dir = _run_dir(out, config_path, "search")
     if result.best is not None:
         stats = dict(evaluate_design(result.best, vc), power=result.power)
-        compare = _comparator_stats(
-            cfg, compare_path, vc, cfg_power, seed, space.D, result.best.m
-        )
         for line in _report_lines(stats, compare):
             click.echo(line)
         _stats_csv(stats, run_dir / "table.csv")

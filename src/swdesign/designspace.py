@@ -17,7 +17,6 @@ one representative is visited (:mod:`swdesign.search` enumerates them).
 from __future__ import annotations
 
 import itertools
-from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -79,9 +78,6 @@ class EqualSequenceAllocation(Restriction):
     """
 
     name: str = field(default="equal-allocation", init=False)
-
-    def matrix_ok(self, X) -> bool:
-        return bool(equal_allocation(list(Counter(map(tuple, X)).values())))
 
 
 @dataclass(frozen=True)
@@ -262,9 +258,6 @@ class DesignSpace:
             for C in sorted(self.C_sets[T]):
                 for m in sorted(self.M_sets[(C, T)]):
                     yield T, C, m
-
-    def requires_identifiable(self) -> bool:
-        return any(isinstance(r, Identifiable) for r in self.restrictions)
 
     def requires_equal_allocation(self) -> bool:
         return any(

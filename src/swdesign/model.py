@@ -20,7 +20,7 @@ the fixed effects.  Every cluster shares the nuisance block
 form and a search over millions of allocation matrices inverts only
 ``q x q`` matrices, entry by entry on vectors over the candidates and with
 no LAPACK call.  The ``p x p`` information matrix and the explicit
-observation-level matrices remain as references.
+observation-level matrices it replaces are references in the tests.
 """
 
 from __future__ import annotations
@@ -33,27 +33,22 @@ import numpy as np
 __all__ = [
     "Design",
     "VarianceComponents",
-    "ModelMatrices",
     "CovarianceSummary",
     "DegenerateVarianceError",
     "NonIdentifiableError",
-    "build_model_matrices",
     "treatment_covariance",
     "is_identifiable",
-    "sequence_block",
-    "mean_precision",
     "sequence_contributions",
     "sequence_statistics",
     "kernel_sums",
     "design_sums",
     "covariance_kernel",
     "determinant",
-    "information_matrix",
-    "parameter_labels",
 ]
 
-#: Relative eigenvalue tolerance below which the information matrix is
-#: considered rank deficient.
+#: Shift of Sylvester's test on ``P`` (:func:`kernel_sums`), relative to
+#: the candidate's ``scale``: a design is identifiable when every LDL'
+#: pivot of ``P - RANK_RTOL * scale * I`` is positive.
 RANK_RTOL = 1e-8
 
 
@@ -229,29 +224,6 @@ class VarianceComponents:
 
 
 @dataclass(frozen=True)
-class ModelMatrices:
-    """Fixed-effect blocks and shared marginal covariance of one cluster.
-
-    Attributes
-    ----------
-    A : numpy.ndarray
-        ``C x (mT) x p`` stack of per-cluster fixed-effect matrices.  Row
-        ``(j, k)`` of ``A[i]`` holds the arm indicators ``1{X[i, j] >= d}``
-        for ``d = 1..D-1``, a 1 in the intercept column, and the period
-        indicators for periods ``2..T``.
-    V : numpy.ndarray
-        ``(mT) x (mT)`` marginal covariance of one cluster's observations,
-        identical across clusters.
-    p : int
-        Number of fixed effects.
-    """
-
-    A: np.ndarray
-    V: np.ndarray
-    p: int
-
-
-@dataclass(frozen=True)
 class CovarianceSummary:
     """Covariance of the treatment-effect estimators.
 
@@ -270,59 +242,6 @@ class CovarianceSummary:
     q: int
 
 
-def parameter_labels(T: int, D: int) -> list[str]:
-    """Column labels of the fixed-effect design matrix."""
-    return (
-        [f"beta_{d}" for d in range(1, D)]
-        + ["mu"]
-        + [f"pi_{j}" for j in range(2, T + 1)]
-    )
-
-
-def sequence_block(seq, T: int, D: int) -> np.ndarray:
-    """Cell-level design block of one treatment sequence.
-
-    Parameters
-    ----------
-    seq : sequence of int
-        Length-``T`` arm labels of one cluster.
-    T, D : int
-        Periods and arms.
-
-    Returns
-    -------
-    numpy.ndarray
-        ``T x p`` matrix with columns ``[beta_1..beta_{D-1}, mu, pi_2..pi_T]``.
-    """
-    seq = np.asarray(seq, dtype=int)
-    p = D + T - 1
-    B = np.zeros((T, p))
-    for d in range(1, D):
-        B[:, d - 1] = seq >= d
-    B[:, D - 1] = 1.0
-    for j in range(1, T):
-        B[j, D + j - 1] = 1.0
-    return B
-
-
-def cluster_covariance(m: int, T: int, vc: VarianceComponents) -> np.ndarray:
-    """Marginal covariance ``V`` of one cluster's ``mT`` observations.
-
-    Observations are ordered period-major: index ``j * m + k`` is individual
-    ``k`` in period ``j``.  The entry for observations ``(j, k)`` and
-    ``(j', k')`` is ``s_c + 1{j=j'} s_th + 1{k=k'} s_s + 1{j=j', k=k'} s_e``.
-    """
-    s_c, s_th, s_s, s_e = vc.as_tuple()
-    I_T, J_T = np.eye(T), np.ones((T, T))
-    I_m, J_m = np.eye(m), np.ones((m, m))
-    return (
-        s_c * np.kron(J_T, J_m)
-        + s_th * np.kron(I_T, J_m)
-        + s_s * np.kron(J_T, I_m)
-        + s_e * np.kron(I_T, I_m)
-    )
-
-
 def _mean_variances(m: int, vc: VarianceComponents) -> tuple[float, float]:
     """``(a, b)`` of the period-mean covariance ``S = a I + b J``."""
     s_c, s_th, s_s, s_e = vc.as_tuple()
@@ -332,16 +251,6 @@ def _mean_variances(m: int, vc: VarianceComponents) -> tuple[float, float]:
             "when the residual variance vanishes (e.g. rho = 1 exactly)"
         )
     return s_th + s_e / m, s_c + s_s / m
-
-
-def mean_precision(m: int, T: int, vc: VarianceComponents) -> np.ndarray:
-    """Precision ``S^-1`` of a cluster's period means, in closed form.
-
-    ``S = a I + b J`` with ``a = s_th + s_e / m`` and ``b = s_c + s_s / m``;
-    a cluster's information contribution is ``B^T S^-1 B``.
-    """
-    a, b = _mean_variances(m, vc)
-    return (np.eye(T) - (b / (a + T * b)) * np.ones((T, T))) / a
 
 
 @lru_cache(maxsize=256)
@@ -413,8 +322,18 @@ def kernel_sums(raw: np.ndarray, T: int, q: int):
     Returns the length-``k`` mask ``ident`` and the ``(P, Q)`` of the
     identifiable candidates as ``q x q x k'`` arrays of entry vectors
     (``P[i, j]`` is the vector of entry ``(i, j)``), copies that keep no
-    reference to the overwritten ``raw``.  Each entry ``i <= j`` of the
-    ``1 / C`` corrections takes one product and is mirrored.
+    reference to the overwritten ``raw``.
+    """
+    P, Q, shift = _centred(raw, T, q)
+    ident = reduce(np.logical_and, (d > 0 for d in _pivots(P, shift)))
+    return ident, (P[:, :, ident], Q[:, :, ident])
+
+
+def _centred(raw: np.ndarray, T: int, q: int):
+    """``P``, ``Q`` and the shift ``RANK_RTOL * scale`` of :func:`kernel_sums`.
+
+    ``P`` and ``Q`` are centred in place in ``raw``: each entry ``i <= j``
+    of the ``1 / C`` corrections takes one product and is mirrored.
     """
     Zbar = raw[: q * T].reshape(q, T, -1)
     P = raw[q * T: q * (T + q)].reshape(q, q, -1)
@@ -426,9 +345,7 @@ def kernel_sums(raw: np.ndarray, T: int, q: int):
             Q[i, j] -= Zbar1[i] * Zbar1[j] / C
             if j > i:
                 P[j, i], Q[j, i] = P[i, j], Q[i, j]
-    ident = reduce(np.logical_and, (
-        d > 0 for d in _pivots(P, RANK_RTOL * Zbar1.sum(axis=0))))
-    return ident, (P[:, :, ident], Q[:, :, ident])
+    return P, Q, RANK_RTOL * Zbar1.sum(axis=0)
 
 
 def _pivots(K, shift=0.0):
@@ -503,60 +420,21 @@ def covariance_kernel(sums, T: int, m: int, vc: VarianceComponents) -> list:
     return [[A[min(i, j)][max(i, j)] for j in range(q)] for i in range(q)]
 
 
-def information_matrix(design: Design, vc: VarianceComponents) -> np.ndarray:
-    """Full ``p x p`` fixed-effect information ``sum_i B_i^T S^-1 B_i``."""
-    W = mean_precision(design.m, design.T, vc)
-    B = np.stack(
-        [sequence_block(seq, design.T, design.D) for seq in design.sequences()]
-    )
-    return np.einsum("ctp,tu,cuq->pq", B, W, B)
-
-
-def build_model_matrices(
-    design: Design, vc: VarianceComponents
-) -> ModelMatrices:
-    """Assemble the explicit per-cluster design blocks and covariance.
-
-    This materializes the full ``(mT) x p`` blocks and ``(mT) x (mT)``
-    covariance.  It exists for validation and small problems; all search
-    paths use the sufficient cluster-period-mean reduction instead.
-    """
-    m, T, D = design.m, design.T, design.D
-    V = cluster_covariance(m, T, vc)
-    ones = np.ones((m, 1))
-    A = np.empty((design.C, m * T, design.p))
-    for i, seq in enumerate(design.sequences()):
-        B = sequence_block(seq, T, D)
-        A[i] = np.kron(B, ones)
-    return ModelMatrices(A=A, V=V, p=design.p)
-
-
-def _rank_deficient_labels(M: np.ndarray, T: int, D: int) -> list[str]:
-    """Names of parameter columns implicated in a rank deficiency."""
-    vals, vecs = np.linalg.eigh(M)
-    tol = max(vals.max(), 0.0) * RANK_RTOL
-    labels = parameter_labels(T, D)
-    bad: list[str] = []
-    for idx in np.nonzero(vals <= tol)[0]:
-        v = np.abs(vecs[:, idx])
-        for col in np.nonzero(v > 0.3 * v.max())[0]:
-            if labels[col] not in bad:
-                bad.append(labels[col])
-    return bad
-
-
 def _design_sums(design: Design):
-    """``(identifiable, sums)`` of one design from its rows' statistics.
+    """``(f, (P, Q))`` of one design from its rows' statistics.
 
     The raw sums add the :func:`sequence_statistics` columns of all ``C``
-    rows, repeats included, as the searches gather a candidate's.
+    rows, repeats included, as the searches gather a candidate's.  ``f`` is
+    the first arm whose pivot in :func:`kernel_sums`' identifiability test
+    is not positive, or ``None``.
     """
     stats = sequence_statistics(
         sequence_contributions(design.X, design.T, design.D)
     )
-    ident, sums = kernel_sums(stats.sum(axis=1, keepdims=True), design.T,
-                              design.q)
-    return ident[0], sums
+    P, Q, shift = _centred(stats.sum(axis=1, keepdims=True), design.T,
+                           design.q)
+    bad = (f for f, d in enumerate(_pivots(P, shift), 1) if not d[0] > 0)
+    return next(bad, None), (P, Q)
 
 
 def is_identifiable(design: Design, vc: VarianceComponents) -> bool:
@@ -565,24 +443,23 @@ def is_identifiable(design: Design, vc: VarianceComponents) -> bool:
     The nuisance effects are always estimable, so this is whether the
     ``P`` of :func:`kernel_sums` is nonsingular, whatever ``vc``.
     """
-    return bool(_design_sums(design)[0])
+    return _design_sums(design)[0] is None
 
 
-def design_sums(design: Design, vc: VarianceComponents):
+def design_sums(design: Design):
     """:func:`kernel_sums` of one design, for :func:`covariance_kernel`.
 
     They depend on neither ``m`` nor the variances, so a caller that needs
     the design's ``Lambda_q`` at many settings takes them once.  Raises
-    :class:`NonIdentifiableError`, naming the implicated parameter columns
-    of the information matrix at ``vc``, if the design is not identifiable.
+    :class:`NonIdentifiableError` naming ``beta_f``, the first arm whose
+    pivot in the identifiability test is not positive: the nuisance effects
+    are always estimable, so it is collinear with them and the lower arms.
     """
-    ident, sums = _design_sums(design)
-    if not ident:
-        M = information_matrix(design, vc)
-        bad = _rank_deficient_labels(M, design.T, design.D)
+    f, sums = _design_sums(design)
+    if f is not None:
         raise NonIdentifiableError(
-            "design cannot identify the fixed effects; rank-deficient "
-            f"columns: {', '.join(bad) if bad else 'unknown'}"
+            f"design cannot identify beta_{f}: it is collinear with the "
+            "period effects and the lower arms"
         )
     return sums
 
@@ -600,12 +477,12 @@ def treatment_covariance(
     Raises
     ------
     NonIdentifiableError
-        If the information matrix is rank deficient; the message names the
-        implicated parameter columns.
+        If the design is not identifiable; the message names the first arm
+        it cannot identify (:func:`design_sums`).
     DegenerateVarianceError
         If the residual variance is zero (singular marginal covariance).
     """
-    sums = design_sums(design, vc)
+    sums = design_sums(design)
     Lambda = covariance_kernel(sums, design.T, design.m, vc)
     Lambda_q = np.array([[v[0] for v in row] for row in Lambda])
     return CovarianceSummary(

@@ -1044,12 +1044,11 @@ def variance_ratio_map(
         grid, space, objective, spec, workers=workers, seed=seed
     )
     xs, ys = sens.sigma2_c_values, sens.sigma2_eps_values
-    vc0 = VarianceComponents(sigma2_c=xs[0], sigma2_eps=ys[0])
 
     def first_variance(design):
         # Kernel sums depend on neither m nor the variances: each design's
         # are taken once and finished at every point.
-        sums = design_sums(design, vc0)
+        sums = design_sums(design)
         return lambda vc: covariance_kernel(sums, design.T, design.m,
                                             vc)[0][0][0]
 

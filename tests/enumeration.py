@@ -7,6 +7,7 @@ brute-force oracles that its batched enumeration is checked against.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from math import comb
 
 import numpy as np
@@ -15,25 +16,33 @@ from swdesign import search
 from swdesign.designspace import (
     DesignSpace,
     EqualSequenceAllocation,
+    Identifiable,
     enumerate_sequences,
+    equal_allocation,
 )
 from swdesign.model import Design, VarianceComponents, is_identifiable
+
+
+def equal_allocation_ok(X) -> bool:
+    """Whether every distinct row of ``X`` appears equally often."""
+    return bool(equal_allocation(list(Counter(map(tuple, X)).values())))
 
 
 def check_restrictions(X, restrictions, D: int) -> bool:
     """Whether an allocation matrix satisfies every restriction.
 
-    The identifiability restriction is ignored here (it depends on the
-    variance components); use :func:`swdesign.model.is_identifiable`.
+    The identifiability restriction is ignored here:
+    :func:`swdesign.model.is_identifiable` decides it from ``X`` alone,
+    whatever ``m`` and the variance components.
     """
     X = np.asarray(X, dtype=int)
     for r in restrictions:
         if hasattr(r, "row_ok"):
             if not all(r.row_ok(tuple(row), D) for row in X):
                 return False
-        if hasattr(r, "matrix_ok"):
-            if not r.matrix_ok(X):
-                return False
+        if (isinstance(r, EqualSequenceAllocation)
+                and not equal_allocation_ok(X)):
+            return False
     return True
 
 
@@ -55,14 +64,14 @@ def enumerate_designs(space: DesignSpace, vc: VarianceComponents):
     restrictions and, when requested, identifiability under ``vc`` are
     applied as filters.  Two runs yield identical streams.
     """
-    check_ident = space.requires_identifiable()
+    check_ident = any(isinstance(r, Identifiable) for r in space.restrictions)
     equal_alloc = space.requires_equal_allocation()
     for T, C, m in space.blocks():
         seqs = enumerate_sequences(T, space.D, space.restrictions)
         if not seqs:
             continue
         for combo in itertools.combinations_with_replacement(seqs, C):
-            if equal_alloc and not EqualSequenceAllocation().matrix_ok(combo):
+            if equal_alloc and not equal_allocation_ok(combo):
                 continue
             design = Design(m, C, T, np.array(combo, dtype=int), space.D)
             if check_ident and not is_identifiable(design, vc):

@@ -41,7 +41,6 @@ from swdesign import (
     treatment_covariance,
     variance_ratio_map,
 )
-from swdesign.model import build_model_matrices
 from swdesign.search import GridSpec
 
 from conftest import (
@@ -60,6 +59,7 @@ from conftest import (
     TWO_ARM_OPTIMA,
     row_multiset,
 )
+from reference_model import gls_information
 
 MONO_IDENT = (MonotoneNondecreasing(), Identifiable())
 NO_POWER = PowerSpec(alpha=0.05, beta=1.0, delta=[])
@@ -445,9 +445,7 @@ def test_block_reduction_matches_full_matrix_oracle():
             sigma2_s=rng.uniform(0, 0.3),
             sigma2_eps=rng.uniform(0.3, 2.0),
         )
-        mats = build_model_matrices(design, vc)
-        Vinv = np.linalg.inv(mats.V)
-        M = sum(A.T @ Vinv @ A for A in mats.A)
+        M = gls_information([[1] * C], design.sequences(), m, T, D, vc)[0]
         vals = np.linalg.eigvalsh(M)
         if vals[0] <= vals[-1] * 1e-8:
             continue

@@ -15,9 +15,9 @@ from swdesign import (
     optimal_sequence_count,
     rho_from_E,
 )
-from swdesign.model import mean_precision, sequence_block
 
 from conftest import X
+from reference_model import mean_precision, sequence_block
 
 
 class TestClusterMeanCorrelation:

@@ -682,6 +682,24 @@ class TestEvaluate:
         assert "not identifiable" in result.output
 
 
+@pytest.mark.parametrize("command", ["evaluate", "search"])
+def test_non_identifiable_compare_is_one_error(
+    runner, tmp_path, reference_csv, command
+):
+    # No cluster of the comparator ever receives arm 2.
+    cfg = reference_config(tmp_path, space={
+        "D": 3, "T": 3, "C": 3, "m": 2,
+        "restrictions": ["monotone", "identifiable"]})
+    bad = tmp_path / "two-arms.csv"
+    write_design_csv(X(("000111", 3), ("001111", 3)), bad)
+    out = tmp_path / "r"
+    args = [command, "--config", cfg, "--compare", str(bad), "--out", str(out)]
+    result = runner.invoke(
+        main, args + ["--design", reference_csv] * (command == "evaluate"))
+    assert_one_error(result, 1, "compare: design is not identifiable")
+    assert "beta_2" in result.output and not out.exists()
+
+
 class TestSearch:
     def search_config(self, tmp_path, **power):
         return write_json(

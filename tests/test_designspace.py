@@ -20,7 +20,12 @@ from swdesign import (
 )
 
 from conftest import X
-from enumeration import check_restrictions, count_candidates, enumerate_designs
+from enumeration import (
+    check_restrictions,
+    count_candidates,
+    enumerate_designs,
+    equal_allocation_ok,
+)
 
 
 VC = VarianceComponents.from_rho(1.0, 0.05)
@@ -49,10 +54,9 @@ class TestRestrictions:
         assert not r.row_ok((0, 0, 0), 2)
 
     def test_equal_allocation(self):
-        r = EqualSequenceAllocation()
-        assert r.matrix_ok(X(("000111", 2), ("001111", 2)))
-        assert not r.matrix_ok(X(("000111", 2), "001111"))
-        assert r.matrix_ok(X(("000111", 3)))
+        assert equal_allocation_ok(X(("000111", 2), ("001111", 2)))
+        assert not equal_allocation_ok(X(("000111", 2), "001111"))
+        assert equal_allocation_ok(X(("000111", 3)))
 
     def test_custom_predicate(self):
         r = CustomPredicate(label="two", allowed=((0, 1), (0, 0)))

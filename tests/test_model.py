@@ -1,5 +1,7 @@
 """Model-layer tests: design records, variance components, covariance."""
 
+import itertools
+import re
 from math import comb
 
 import numpy as np
@@ -16,20 +18,32 @@ from swdesign import (
     NonIdentifiableError,
     PowerSpec,
     VarianceComponents,
-    build_model_matrices,
     is_identifiable,
     treatment_covariance,
 )
+from swdesign import inference, search
+from swdesign.designspace import enumerate_sequences, restriction_from_name
 from swdesign.model import (
-    cluster_covariance,
-    information_matrix,
-    mean_precision,
-    parameter_labels,
-    sequence_block,
+    RANK_RTOL,
+    _mean_variances,
+    covariance_kernel,
+    design_sums,
+    determinant,
+    kernel_sums,
     sequence_contributions,
+    sequence_statistics,
 )
 
 from enumeration import scan_block
+from reference_model import (
+    cluster_covariance,
+    full_rank,
+    gls_information,
+    gls_lambda_q,
+    information_matrix,
+    mean_precision,
+    sequence_block,
+)
 
 from conftest import REFERENCE_X, WHOLE_SPACES, X
 
@@ -139,11 +153,6 @@ class TestMatrices:
         )
         np.testing.assert_array_equal(B, expected)
 
-    def test_parameter_labels(self):
-        assert parameter_labels(3, 3) == [
-            "beta_1", "beta_2", "mu", "pi_2", "pi_3"
-        ]
-
     def test_exchangeable_marginal_covariance(self, reference_vc):
         # rho = 0.05, sigma2 = 1: unit diagonal, 0.05 everywhere else.
         V = cluster_covariance(8, 6, reference_vc)
@@ -210,15 +219,6 @@ class TestMatrices:
 # ---------------------------------------------------------------------------
 
 
-def _brute_force_lambda_q(design, vc):
-    """Independent oracle: full observation-level GLS on explicit matrices."""
-    mats = build_model_matrices(design, vc)
-    Vinv = np.linalg.inv(mats.V)
-    M = sum(A.T @ Vinv @ A for A in mats.A)
-    Lam = np.linalg.inv(M)
-    return Lam[: design.q, : design.q]
-
-
 SMALL_CASES = [
     (2, 3, 3, X("001", "011", "000"), 2),
     (2, 2, 3, X("012", "001"), 3),
@@ -235,7 +235,7 @@ class TestTreatmentCovariance:
         vc = VarianceComponents(0.05, 0.02, 0.1, 0.83)
         got = treatment_covariance(design, vc).Lambda_q
         np.testing.assert_allclose(
-            got, _brute_force_lambda_q(design, vc), atol=1e-9
+            got, gls_lambda_q(design, vc), atol=1e-9
         )
 
     def test_info_is_inverse_diagonal(self, reference_design, reference_vc):
@@ -285,25 +285,12 @@ class TestTreatmentCovariance:
 COHORT_VC = VarianceComponents(0.05, 0.02, 0.1, 0.83)
 
 
-def _reference_information(counts, seqs, m, T, D, vc):
-    """Information matrices of every candidate from the explicit ``V``."""
-    Vinv = np.linalg.inv(cluster_covariance(m, T, vc))
-    ones = np.ones((m, 1))
-    blocks = [np.kron(sequence_block(s, T, D), ones) for s in seqs]
-    per_seq = np.stack([A.T @ Vinv @ A for A in blocks])
-    p = per_seq.shape[1]
-    return (counts @ per_seq.reshape(len(seqs), -1)).reshape(-1, p, p)
-
-
 @pytest.mark.parametrize("vc", [VarianceComponents.from_rho(1.0, 0.05),
                                 COHORT_VC], ids=["cross", "cohort"])
 @pytest.mark.parametrize("T,C,m,D,names,equal", WHOLE_SPACES)
 def test_kernel_matches_information_matrix_on_whole_space(
     T, C, m, D, names, equal, vc
 ):
-    from swdesign.designspace import enumerate_sequences, restriction_from_name
-    from swdesign.model import RANK_RTOL, covariance_kernel, kernel_sums
-
     seqs = enumerate_sequences(
         T, D, [restriction_from_name(n) for n in names]
     )
@@ -313,9 +300,8 @@ def test_kernel_matches_information_matrix_on_whole_space(
         assert len(counts) == comb(len(seqs) + C - 1, C)
     ident, sums = kernel_sums(raw, T, D - 1)
     Lambda = np.transpose(covariance_kernel(sums, T, m, vc), (2, 0, 1))
-    M = _reference_information(counts, seqs, m, T, D, vc)
-    vals = np.linalg.eigvalsh(M)
-    np.testing.assert_array_equal(ident, vals[:, 0] > vals[:, -1] * RANK_RTOL)
+    M = gls_information(counts, seqs, m, T, D, vc)
+    np.testing.assert_array_equal(ident, full_rank(M))
     assert ident.any()
     if "identifiable" not in names:
         assert not ident.all()
@@ -327,7 +313,7 @@ def test_kernel_matches_information_matrix_on_whole_space(
     rows = [s for s, c in zip(seqs, counts[k]) for _ in range(int(c))]
     design = Design(m, C, T, np.array(rows), D)
     assert is_identifiable(design, vc)
-    oracle = _brute_force_lambda_q(design, vc)
+    oracle = gls_lambda_q(design, vc)
     np.testing.assert_allclose(
         treatment_covariance(design, vc).Lambda_q, oracle,
         rtol=0, atol=1e-9 * np.abs(oracle).max(),
@@ -340,9 +326,6 @@ def test_identifiability_verdict_is_free_of_m_and_variances(
 ):
     # K = P - gamma Q is nonsingular exactly when P is, so the one verdict
     # of kernel_sums is the full-matrix rank verdict at every setting.
-    from swdesign.designspace import enumerate_sequences, restriction_from_name
-    from swdesign.model import RANK_RTOL, kernel_sums
-
     seqs = enumerate_sequences(
         T, D, [restriction_from_name(n) for n in names]
     )
@@ -353,11 +336,40 @@ def test_identifiability_verdict_is_free_of_m_and_variances(
            for rho in (0.0, 0.05, 0.5, 0.999)] + [COHORT_VC]
     for vc in vcs:
         for size in (2, m, 50):
-            M = _reference_information(counts, seqs, size, T, D, vc)
-            vals = np.linalg.eigvalsh(M)
             np.testing.assert_array_equal(
-                ident, vals[:, 0] > vals[:, -1] * RANK_RTOL
+                ident, full_rank(gls_information(counts, seqs, size, T, D, vc))
             )
+
+
+@pytest.mark.parametrize("T,D,C", [(3, 2, 3), (3, 3, 3), (4, 3, 3),
+                                   (4, 4, 2), (3, 4, 3), (5, 3, 2)])
+def test_non_identifiable_message_names_the_first_collinear_arm(T, D, C):
+    # Over every design of an unrestricted space: when the error names
+    # beta_f, the p x p information restricted to [beta_1..beta_f, mu,
+    # pi_2..pi_T] is rank deficient and without beta_f it is not; when the
+    # kernel finds the design identifiable, the full matrix has full rank.
+    seqs = np.array(enumerate_sequences(T, D, ()))
+    combos = np.array(list(itertools.combinations_with_replacement(
+        range(len(seqs)), C)))
+    counts = np.zeros((len(combos), len(seqs)))
+    np.add.at(counts, (np.arange(len(combos))[:, None], combos), 1.0)
+    stats = sequence_statistics(sequence_contributions(seqs, T, D))
+    ident, _ = kernel_sums(stats @ counts.T, T, D - 1)
+    named = np.zeros(len(counts), dtype=int)
+    for k in np.nonzero(~ident)[0]:
+        rows = np.repeat(seqs, counts[k].astype(int), axis=0)
+        with pytest.raises(NonIdentifiableError) as err:
+            design_sums(Design(2, C, T, rows, D))
+        named[k] = int(re.search(r"beta_(\d+)", str(err.value)).group(1))
+    beta, nuisance = list(range(D - 1)), list(range(D - 1, D + T - 1))
+    for vc in (VarianceComponents.from_rho(1.0, 0.05), COHORT_VC):
+        M = gls_information(counts, seqs, 2, T, D, vc)
+        assert full_rank(M[named == 0]).all()
+        for f in range(1, D):
+            def rank(cols):
+                return full_rank(M[np.ix_(named == f, cols, cols)])
+            assert not rank(beta[:f] + nuisance).any()
+            assert rank(beta[:f - 1] + nuisance).all()
 
 
 # ---------------------------------------------------------------------------
@@ -374,8 +386,6 @@ def _psd_stack(q, rng):
     candidate), ``"above"`` and ``"below"`` (smallest eigenvalue at
     ``(1 +- 1e-3) * RANK_RTOL * scale``).
     """
-    from swdesign.model import RANK_RTOL
-
     n = 60
     kinds = ["random"] * n + ["singular"] * n + ["above"] * n + ["below"] * n
     scale = rng.uniform(1.0, 40.0, len(kinds))
@@ -398,13 +408,6 @@ def _psd_stack(q, rng):
 
 @pytest.mark.parametrize("q", [1, 2, 3, 4])
 def test_entry_kernel_matches_lapack_on_random_stacks(q):
-    from swdesign.model import (
-        RANK_RTOL,
-        _mean_variances,
-        covariance_kernel,
-        kernel_sums,
-    )
-
     K, scale, kind = _psd_stack(q, np.random.default_rng(q))
     vc, m, T = VarianceComponents.from_rho(1.0, 0.05), 4, 5
     # Raw sums with Zbar = 0, sum Z_s'Z_s = K, C = 1 and Zbar'1 = (scale,
@@ -437,8 +440,6 @@ def test_entry_kernel_matches_lapack_on_random_stacks(q):
 
 @pytest.mark.parametrize("q", [1, 2, 3, 4])
 def test_determinant_matches_lapack_on_random_stacks(q):
-    from swdesign.model import determinant
-
     K, _, kind = _psd_stack(q, np.random.default_rng(10 + q))
     K = K[kind == "random"]
     want = np.linalg.det(K)
@@ -449,12 +450,6 @@ def test_determinant_matches_lapack_on_random_stacks(q):
 
 @pytest.mark.parametrize("D", [2, 3, 4])
 def test_design_rows_sum_like_a_count_product(D):
-    from swdesign.model import (
-        covariance_kernel,
-        kernel_sums,
-        sequence_statistics,
-    )
-
     rng = np.random.default_rng(D)
     T, C, m = 5, 7, 3
     identifiable = 0
@@ -479,8 +474,6 @@ def test_design_rows_sum_like_a_count_product(D):
 
 
 def test_search_paths_make_no_lapack_call(monkeypatch):
-    from swdesign import inference, search
-
     # The quadrature nodes come from one eigvalsh call, cached for the
     # process; the search path itself must make none.
     inference._gauss_legendre()

@@ -41,16 +41,15 @@ from swdesign import search
 from swdesign.designspace import enumerate_sequences, equal_allocation
 from swdesign.inference import critical_value, power_report, variance_limits
 from swdesign.model import (
-    RANK_RTOL,
     CovarianceSummary,
-    information_matrix,
     sequence_contributions,
     sequence_statistics,
 )
 from swdesign.search import _draw_rows
 
 from conftest import WHOLE_SPACES, X, row_multiset
-from enumeration import enumerate_designs, scan_block
+from enumeration import enumerate_designs, equal_allocation_ok, scan_block
+from reference_model import full_rank, information_matrix
 
 
 VC = VarianceComponents.from_rho(1.0, 0.05)
@@ -194,8 +193,7 @@ def tied_reference():
     out = []
     for design in enumerate_designs(TIED, VC):
         M = information_matrix(design, VC)
-        vals = np.linalg.eigvalsh(M)
-        if vals[0] > vals[-1] * RANK_RTOL:
+        if full_rank(M):
             out.append((design.m, design.sequences(),
                         np.linalg.inv(M)[:2, :2]))
     return out
@@ -961,7 +959,7 @@ class TestCrossEntropy:
             6, 5, 4, 2, restrictions, VC, obj, NO_POWER, CEParams(seed=0)
         )
         assert ce.status == "ok"
-        assert EqualSequenceAllocation().matrix_ok(ce.best.X)
+        assert equal_allocation_ok(ce.best.X)
         assert ce.criterion_value >= exact.criterion_value * (1 - 1e-12)
 
     def test_equal_allocation_never_met_fails(self):
@@ -1266,9 +1264,9 @@ class TestSensitivity:
                           / treatment_covariance(opt, vc).Lambda_q[0, 0])
         summed = []
 
-        def counted(design, vc, finish=search.design_sums):
+        def counted(design, finish=search.design_sums):
             summed.append(design)
-            return finish(design, vc)
+            return finish(design)
 
         def no_covariance(*args):
             raise AssertionError("per-point treatment_covariance")

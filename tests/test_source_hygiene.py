@@ -73,6 +73,28 @@ def test_search_makes_no_blas_or_lapack_call():
     assert dense_calls((SRC / "search.py").read_text(encoding="utf-8")) == []
 
 
+def linalg_calls(source: str) -> list[str]:
+    """Functions read from ``linalg`` (``np.linalg.eigh`` and the like)."""
+    return sorted(
+        f"linalg.{node.attr} (line {node.lineno})"
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Attribute)
+        and node.value.attr == "linalg"
+    )
+
+
+def test_checker_flags_linalg_calls():
+    source = "import numpy as np\nw, v = np.linalg.eigh(a)\nb = a @ c\n"
+    assert linalg_calls(source) == ["linalg.eigh (line 2)"]
+
+
+def test_model_makes_no_linalg_call():
+    # The kernel and the non-identifiable error message both read the LDL'
+    # pivots of P; the p x p references that need LAPACK are in the tests.
+    assert linalg_calls((SRC / "model.py").read_text(encoding="utf-8")) == []
+
+
 def test_search_leaves_identifiability_to_the_kernel_sums():
     # model.kernel_sums decides identifiability once per candidate; the
     # search only reads its mask.
@@ -109,7 +131,7 @@ def test_scan_path_keeps_lambda_as_entry_vectors():
     from swdesign import model
 
     kernel = "".join(inspect.getsource(f) for f in (
-        model.kernel_sums, model._pivots, model.determinant,
+        model.kernel_sums, model._centred, model._pivots, model.determinant,
         model.covariance_kernel,
     ))
     assert lambda_stacks(kernel) == []
