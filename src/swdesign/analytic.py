@@ -10,9 +10,8 @@ outcomes analysed on cluster-period proportions.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-
-import numpy as np
 
 __all__ = [
     "LiProportions",
@@ -36,14 +35,14 @@ class LiProportions:
 
     Attributes
     ----------
-    p : numpy.ndarray
+    p : tuple of float
         Length ``T - 1``; ``p[t-1]`` is the proportion of clusters on the
         sequence with ``t`` treatment periods.
     psi, xi, gamma : float
         The intermediate constants of the closed form.
     """
 
-    p: np.ndarray
+    p: tuple[float, ...]
     psi: float
     xi: float
     gamma: float
@@ -77,7 +76,7 @@ def optimal_sequence_count(E: float) -> float:
     """
     if not 0 <= E < 1:
         raise ValueError(f"E must lie in [0, 1), got {E}")
-    return float(1.0 / (1.0 - np.sqrt(E)))
+    return float(1.0 / (1.0 - math.sqrt(E)))
 
 
 def li_optimal_proportions(
@@ -105,8 +104,8 @@ def li_optimal_proportions(
     gamma = psi + T * xi
     if gamma == 0:
         raise ValueError("gamma vanished; the proportions are undefined")
-    p = np.full(T - 1, xi / gamma)
-    p[0] = p[-1] = (psi + 3 * xi) / (2 * gamma)
+    end = (psi + 3 * xi) / (2 * gamma)
+    p = (end, *[xi / gamma] * (T - 3), end)
     return LiProportions(p=p, psi=psi, xi=xi, gamma=gamma)
 
 
@@ -117,6 +116,9 @@ def empirical_proportions(X) -> np.ndarray:
     ``T - t`` control periods followed by ``t`` treatment periods with
     ``1 <= t <= T - 1``.  Returns the fractions of rows at each ``t``.
     """
+    # Only this function reads a matrix, so only it loads numpy.
+    import numpy as np
+
     X = np.asarray(X, dtype=int)
     C, T = X.shape
     out = np.zeros(T - 1)

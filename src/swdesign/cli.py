@@ -23,37 +23,67 @@ reproduced byte for byte (timestamps live in a separate metadata file).
 from __future__ import annotations
 
 import dataclasses
+import functools
+import gc
+import importlib
 import json
 import math
+import os
 import sys
 import time
+from collections.abc import Mapping
 from pathlib import Path
 
 import click
-import numpy as np
 
 from . import analytic as analytic_mod
-from .designspace import CustomPredicate, DesignSpace, restriction_from_name
-from .inference import PowerSpec
-from .model import Design, NonIdentifiableError, VarianceComponents
-from .search import (
-    CandidateCapExceeded,
-    CEParams,
-    GridSpec,
-    Objective,
-    SearchFailure,
-    criterion_from_name,
-    cross_entropy_search,
-    evaluate_design,
-    exhaustive_search,
-    sensitivity_map,
-    variance_ratio_map,
-)
+
+# Parallel work runs in processes (--workers), and the BLAS calls are on
+# q x q matrices and short vectors, so an OpenBLAS thread pool only spins
+# while the process imports.  A value the caller set wins.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 SCHEMA_VERSION = 1
 EXIT_NO_ADMISSIBLE = 3
 
 __all__ = ["main", "read_design_csv", "write_design_csv", "load_config"]
+
+#: The compute names the commands use, by home module.  They are bound on
+#: first use, so ``analytic`` and a bare import load neither numpy nor the
+#: compute modules.
+_COMPUTE = {
+    "designspace": ("CustomPredicate", "DesignSpace", "restriction_from_name"),
+    "inference": ("PowerSpec",),
+    "model": ("Design", "NonIdentifiableError", "VarianceComponents",
+              "design_sums"),
+    "search": ("CandidateCapExceeded", "CEParams", "GridSpec", "Objective",
+               "SearchFailure", "criterion_from_name", "cross_entropy_search",
+               "evaluate_design", "exhaustive_search", "sensitivity_map",
+               "variance_ratio_map"),
+}
+
+
+@functools.cache
+def _compute() -> None:
+    """Bind every compute name that is not bound yet, once.
+
+    A bound name is kept: the benchmark tracer replaces some with wrappers
+    before the command runs.  Freezing the import heap afterwards spares
+    the interpreter's final collection a walk over it.
+    """
+    for module, names in _COMPUTE.items():
+        mod = importlib.import_module(f".{module}", __package__)
+        for name in names:
+            globals().setdefault(name, getattr(mod, name))
+    gc.freeze()
+
+
+def __getattr__(name: str):
+    """A compute name, bound on first use (PEP 562)."""
+    if not any(name in names for names in _COMPUTE.values()):
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    _compute()
+    return globals()[name]
 
 
 # ---------------------------------------------------------------------------
@@ -63,6 +93,8 @@ __all__ = ["main", "read_design_csv", "write_design_csv", "load_config"]
 
 def read_design_csv(path) -> np.ndarray:
     """Read an allocation matrix from headerless CSV of integer labels."""
+    import numpy as np
+
     rows = []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -102,6 +134,8 @@ def _write_csv(path, rows) -> None:
 
 def write_design_csv(X, path) -> None:
     """Write an allocation matrix as headerless CSV with LF line endings."""
+    import numpy as np
+
     _write_csv(path, np.asarray(X, dtype=int).tolist())
 
 
@@ -221,9 +255,29 @@ _BY_TYPE = {"int": _integer, "float": _number, "str": _text,
 _INTEGERS = _one_or_list(_integer)
 
 
-def _fields(cls) -> dict:
-    """Checkers of a block whose keys are ``cls``'s keyword arguments."""
-    return {f.name: _BY_TYPE[f.type] for f in dataclasses.fields(cls)}
+class _Fields(Mapping):
+    """Checkers of a block whose keys are a dataclass's keyword arguments.
+
+    The dataclass is a compute name, resolved when the block is first
+    checked, so a config without the block loads no compute module.
+    """
+
+    def __init__(self, name: str):
+        self.name = name
+
+    @functools.cached_property
+    def _checkers(self) -> dict:
+        return {f.name: _BY_TYPE[f.type]
+                for f in dataclasses.fields(__getattr__(self.name))}
+
+    def __getitem__(self, key):
+        return self._checkers[key]
+
+    def __iter__(self):
+        return iter(self._checkers)
+
+    def __len__(self) -> int:
+        return len(self._checkers)
 
 
 #: The checker of every config key, by the JSON path of the object holding
@@ -245,12 +299,12 @@ SCHEMA = {
     "space.m": {"min": _integer, "budget": _integer},
     "space.restrictions[i]": {
         "allowed_sequences": _list_of(_list_of(_integer)), "label": _text},
-    "power": _fields(PowerSpec),
+    "power": _Fields("PowerSpec"),
     "objective": {"w": _number, "criterion": _text},
     "design": {"m": _integer},
     "compare": {"m": _integer},
-    "ce": _fields(CEParams),
-    "sensitivity": _fields(GridSpec),
+    "ce": _Fields("CEParams"),
+    "sensitivity": _Fields("GridSpec"),
     "analytic": {"op": _text, **{key: _number for _, keys in
                                  ANALYTIC_OPS.values() for key in keys}},
 }
@@ -518,20 +572,30 @@ def _common_eval(cfg, design_path, m_override):
     return design, vc, spec if spec.q == design.q else None
 
 
-def _evaluate(design, vc, spec, seed, field: str = ""):
+def _evaluate(design, vc, spec, seed):
     try:
         return evaluate_design(design, vc, spec, seed)
     except NonIdentifiableError as exc:
         raise click.ClickException(
-            f"{field}design is not identifiable: {exc}") from None
+            f"design is not identifiable: {exc}") from None
 
 
-def _comparator_stats(cfg, compare_path, vc, spec, seed, D, m):
+def _comparator(cfg, compare_path, D: int, m: int):
+    """The ``--compare`` design at ``compare.m``, else at ``m``, or None.
+
+    Identifiability depends on the rows alone, not on ``m``, so a search
+    checks its comparator before it scans.
+    """
     if not compare_path:
         return None
     X = read_design_csv(compare_path)
     design = _design(X, cfg.get("compare", {}).get("m", m), D, "compare")
-    return _evaluate(design, vc, spec, seed, "compare: ")
+    try:
+        design_sums(design)
+    except NonIdentifiableError as exc:
+        raise click.ClickException(
+            f"compare: design is not identifiable: {exc}") from None
+    return design
 
 
 @main.command()
@@ -543,12 +607,13 @@ def _comparator_stats(cfg, compare_path, vc, spec, seed, D, m):
 @click.option("--out", type=click.Path())
 def evaluate(config_path, design_path, compare_path, m_override, seed, out):
     """Report criteria, cost and power for a design given as CSV."""
+    _compute()
     cfg = load_config(config_path)
     design, vc, spec = _common_eval(cfg, design_path, m_override)
     stats = _evaluate(design, vc, spec, seed)
-    compare = _comparator_stats(
-        cfg, compare_path, vc, spec, seed, design.D, design.m
-    )
+    comparator = _comparator(cfg, compare_path, design.D, design.m)
+    compare = None if comparator is None else evaluate_design(
+        comparator, vc, spec, seed)
     for line in _report_lines(stats, compare):
         click.echo(line)
     run_dir = _run_dir(out, config_path, "evaluate")
@@ -581,11 +646,15 @@ _WORKERS = click.option(
 @click.option("--compare", "compare_path", type=click.Path(exists=True))
 def search(config_path, workers, seed, out, compare_path):
     """Exhaustive admissible-design search."""
+    _compute()
     cfg = load_config(config_path)
     vc = _build_vc(cfg.get("model", {}))
     space = _build_space(cfg)
     spec = _build_power(cfg.get("power", {}), space.D - 1)
     objective = _build_objective(cfg.get("objective", {}))
+    # At the space's smallest m until the winner's m is known.
+    comparator = _comparator(cfg, compare_path, space.D,
+                             min(map(min, space.M_sets.values())))
     try:
         result = exhaustive_search(
             space, vc, spec, objective, workers=workers, seed=seed,
@@ -594,9 +663,10 @@ def search(config_path, workers, seed, out, compare_path):
     except CandidateCapExceeded as exc:
         raise click.ClickException(str(exc))
     cfg_power = spec if spec.q == space.D - 1 else None
-    compare = None if result.best is None else _comparator_stats(
-        cfg, compare_path, vc, cfg_power, seed, space.D, result.best.m
-    )
+    compare = None if comparator is None or result.best is None else (
+        evaluate_design(dataclasses.replace(
+            comparator, m=cfg.get("compare", {}).get("m", result.best.m)),
+            vc, cfg_power, seed))
     run_dir = _run_dir(out, config_path, "search")
     if result.best is not None:
         stats = dict(evaluate_design(result.best, vc), power=result.power)
@@ -638,6 +708,7 @@ def search(config_path, workers, seed, out, compare_path):
 @click.option("--out", type=click.Path())
 def ce_search(config_path, seed, out):
     """Cross-entropy stochastic search at fixed (m, C, T)."""
+    _compute()
     cfg = load_config(config_path)
     vc = _build_vc(cfg.get("model", {}))
     space = _build_space(cfg)
@@ -697,6 +768,7 @@ def ce_search(config_path, seed, out):
 @click.option("--out", type=click.Path())
 def sensitivity(config_path, design_path, workers, seed, out):
     """Optimal-design map over a (sigma2_c, sigma2_eps) grid."""
+    _compute()
     cfg = load_config(config_path)
     space = _build_space(cfg)
     spec = _build_power(cfg.get("power", {}), space.D - 1)
@@ -765,8 +837,8 @@ def analytic(config_path, design_path, out):
     except ValueError as exc:
         raise click.ClickException(f"analytic: {exc}") from None
     if op == "li-proportions":
-        value = {**vars(value), "p": value.p.tolist()}
-    elif isinstance(value, np.ndarray):
+        value = {**vars(value), "p": list(value.p)}
+    elif op == "empirical-proportions":
         value = value.tolist()
     click.echo(json.dumps({"op": op, "value": value}, sort_keys=True))
     run_dir = _run_dir(out, config_path, "analytic")

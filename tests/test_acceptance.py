@@ -539,4 +539,4 @@ def test_theoretical_proportions_sum_to_one():
         rho0 = rho1 + rng.uniform(0, 0.2)
         rho2 = rho1 + rng.uniform(0, 0.5)
         res = li_optimal_proportions(m, T, rho0, rho1, rho2)
-        assert res.p.sum() == pytest.approx(1.0, abs=1e-12)
+        assert sum(res.p) == pytest.approx(1.0, abs=1e-12)

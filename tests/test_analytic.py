@@ -110,7 +110,7 @@ class TestLiProportions:
     @settings(max_examples=100, deadline=None)
     def test_sums_to_one_and_symmetric(self, m, T, rho1, extra0, extra2):
         res = li_optimal_proportions(m, T, rho1 + extra0, rho1, rho1 + extra2)
-        assert res.p.sum() == pytest.approx(1.0, abs=1e-12)
+        assert sum(res.p) == pytest.approx(1.0, abs=1e-12)
         assert res.p[0] == pytest.approx(res.p[-1], abs=1e-12)
         if T > 4:
             interior = res.p[1:-1]

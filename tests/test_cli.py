@@ -526,34 +526,49 @@ def test_readme_config_section_matches_schema():
     assert {key for keys in schema.values() for key in keys} <= named
 
 
-def run_cold(args, heavy_prefixes):
-    """Run the CLI in a fresh interpreter.
-
-    Returns its stdout and the loaded modules under ``heavy_prefixes``,
-    listed once after ``import swdesign.cli`` and once after the command.
-    """
-    script = (
-        "import json, sys\n"
-        "def heavy():\n"
-        "    return sorted(m for m in sys.modules\n"
-        f"                  if m.startswith({heavy_prefixes!r}))\n"
-        "from swdesign.cli import main\n"
-        "after_import = heavy()\n"
-        "try:\n"
-        "    main(sys.argv[1:])\n"
-        "except SystemExit as exc:\n"
-        "    if exc.code:\n"
-        "        raise\n"
-        "print(json.dumps([after_import, heavy()]))\n"
-    )
+def cold_env(**overrides):
+    """This environment with ``src`` on the path; None unsets a variable."""
     src = str(Path(swdesign.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
     )
+    for name, value in overrides.items():
+        if value is None:
+            env.pop(name, None)
+        else:
+            env[name] = value
+    return env
+
+
+def run_cold(args, heavy_prefixes, prelude="", **env):
+    """Run the CLI in a fresh interpreter.
+
+    ``prelude`` runs between ``import swdesign.cli`` and the command, and
+    ``env`` changes the environment as :func:`cold_env` does.  Returns its
+    stdout, whose last line gives ``OPENBLAS_NUM_THREADS`` as the command
+    left it, and the loaded modules under ``heavy_prefixes``, listed once
+    after ``import swdesign.cli`` and once after the command.
+    """
+    script = (
+        "import json, os, sys\n"
+        "def heavy():\n"
+        "    return sorted(m for m in sys.modules\n"
+        f"                  if m.startswith({heavy_prefixes!r}))\n"
+        "from swdesign.cli import main\n"
+        "after_import = heavy()\n"
+        f"{prelude}\n"
+        "try:\n"
+        "    main(sys.argv[1:])\n"
+        "except SystemExit as exc:\n"
+        "    if exc.code:\n"
+        "        raise\n"
+        "print('OPENBLAS_NUM_THREADS', os.environ.get('OPENBLAS_NUM_THREADS'))\n"
+        "print(json.dumps([after_import, heavy()]))\n"
+    )
     proc = subprocess.run(
         [sys.executable, "-c", script, *args],
-        env=env, capture_output=True, text=True, timeout=120,
+        env=cold_env(**env), capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.strip().splitlines()
@@ -573,6 +588,80 @@ def test_cold_start_imports_neither_scipy_nor_multiprocessing(
     )
     assert modules == [[], []]
     assert any(line.startswith("P(reject any H0)") for line in out)
+
+
+#: The package modules that need numpy; only ``analytic`` does not.
+COMPUTE_MODULES = tuple(f"swdesign.{name}" for name in (
+    "model", "inference", "search", "designspace"))
+
+
+def test_cold_analytic_loads_neither_numpy_nor_the_compute_modules(tmp_path):
+    cfg = write_json(tmp_path / "an.json", {
+        "schema_version": 1,
+        "analytic": {"op": "li-proportions", "m": 10, "T": 6,
+                     "rho0": 0.05, "rho1": 0.001, "rho2": 0.25}})
+    out, modules = run_cold(
+        ["analytic", "--config", cfg, "--out", str(tmp_path / "run")],
+        ("numpy",) + COMPUTE_MODULES,
+    )
+    assert modules == [[], []]
+    want = swdesign.li_optimal_proportions(10, 6, 0.05, 0.001, 0.25)
+    assert json.loads(out[0])["value"]["p"] == list(want.p)
+
+
+def test_bare_cli_import_loads_no_numpy():
+    out, modules = run_cold(["--help"], ("numpy",) + COMPUTE_MODULES)
+    assert modules == [[], []]
+    assert any("analytic" in line for line in out)
+
+
+@pytest.mark.parametrize("given,seen", [(None, "1"), ("2", "2")])
+def test_cold_evaluate_runs_one_openblas_thread_by_default(
+    tmp_path, reference_csv, given, seen
+):
+    # The caller's value wins; the CLI only fills it in.
+    cfg = reference_config(tmp_path)
+    out, modules = run_cold(
+        ["evaluate", "--config", cfg, "--design", reference_csv,
+         "--out", str(tmp_path / "run")],
+        ("numpy",), OPENBLAS_NUM_THREADS=given,
+    )
+    assert modules[1] and out[-1] == f"OPENBLAS_NUM_THREADS {seen}"
+
+
+def test_package_and_model_imports_leave_the_environment_alone():
+    script = ("import os\nbefore = dict(os.environ)\n"
+              "import swdesign, swdesign.model\n"
+              "print(dict(os.environ) == before, 'numpy' in os.sys.modules)\n")
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        env=cold_env(OPENBLAS_NUM_THREADS=None), capture_output=True,
+        text=True, timeout=120,
+    )
+    assert proc.stdout.split() == ["True", "True"], proc.stderr
+
+
+@pytest.mark.parametrize("read_first", [False, True], ids=["set", "get-set"])
+def test_a_wrapper_bound_before_the_command_is_the_one_called(
+    tmp_path, reference_csv, read_first
+):
+    # The benchmark tracer wraps swdesign.cli.evaluate_design by setattr,
+    # after reading it, before the command runs; binding the compute names
+    # on first use must keep the wrapper.
+    prelude = (
+        "import swdesign.cli as cli, swdesign.search as search\n"
+        f"{'cli.evaluate_design' if read_first else ''}\n"
+        "def traced(*args, **kwargs):\n"
+        "    print('traced')\n"
+        "    return search.evaluate_design(*args, **kwargs)\n"
+        "cli.evaluate_design = traced\n"
+    )
+    out, _ = run_cold(
+        ["evaluate", "--config", reference_config(tmp_path), "--design",
+         reference_csv, "--out", str(tmp_path / "run")],
+        (), prelude=prelude,
+    )
+    assert out.count("traced") == 1
 
 
 #: The four-arm cross-entropy winner frozen by the benchmark (m = 8).
@@ -698,6 +787,31 @@ def test_non_identifiable_compare_is_one_error(
         main, args + ["--design", reference_csv] * (command == "evaluate"))
     assert_one_error(result, 1, "compare: design is not identifiable")
     assert "beta_2" in result.output and not out.exists()
+
+
+@pytest.mark.parametrize("rows,text", [
+    ("0,0,1\n0,a,1\n", "line 2, column 2: 'a' is not an integer"),
+    ("0,0,1\n0,1,1\n0,1,1\n", "compare: design is not identifiable"),
+], ids=["malformed", "non-identifiable"])
+def test_search_checks_the_comparator_before_the_scan(
+    runner, tmp_path, monkeypatch, rows, text
+):
+    # Identifiability depends on the rows alone, so a bad comparator ends
+    # the search before any candidate is scanned.
+    def no_scan(*args, **kwargs):
+        raise AssertionError("the search scanned before checking --compare")
+
+    monkeypatch.setattr(swdesign.cli, "exhaustive_search", no_scan)
+    cfg = reference_config(tmp_path, space={
+        "D": 3, "T": 3, "C": 3, "m": 2,
+        "restrictions": ["monotone", "identifiable"]})
+    bad = tmp_path / "bad.csv"
+    bad.write_text(rows, encoding="utf-8")
+    out = tmp_path / "r"
+    result = runner.invoke(main, ["search", "--config", cfg, "--compare",
+                                  str(bad), "--out", str(out)])
+    assert_one_error(result, 1, text)
+    assert not out.exists()
 
 
 class TestSearch:

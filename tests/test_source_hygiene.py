@@ -45,6 +45,60 @@ def test_every_import_is_used(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 
 
+def module_imports(source: str) -> list[str]:
+    """Modules imported when the module loads, not inside a function.
+
+    Relative imports are named from the package: ``from . import search``
+    and ``from .search import x`` are both ``swdesign.search``.
+    """
+    found = []
+    todo = list(ast.parse(source).body)
+    while todo:
+        node = todo.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.Lambda)):
+            continue
+        if isinstance(node, ast.Import):
+            found += [(alias.name, node.lineno) for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level:
+            base = "swdesign" + (f".{node.module}" if node.module else "")
+            found += ([(f"{base}.{alias.name}", node.lineno)
+                       for alias in node.names] if node.module is None
+                      else [(base, node.lineno)])
+        elif isinstance(node, ast.ImportFrom):
+            found.append((node.module, node.lineno))
+        todo += ast.iter_child_nodes(node)
+    return sorted(f"{name} (line {line})" for name, line in found)
+
+
+def test_checker_lists_module_level_imports():
+    source = ("import numpy as np\nfrom . import search\n"
+              "from .model import Design\nif x:\n    import numpy.linalg\n"
+              "def f():\n    import scipy\nclass A:\n    from os import sep\n")
+    assert module_imports(source) == [
+        "numpy (line 1)", "numpy.linalg (line 5)", "os (line 9)",
+        "swdesign.model (line 3)", "swdesign.search (line 2)",
+    ]
+
+
+#: Modules that import numpy when they load.
+NUMPY_MODULES = ("numpy", "swdesign.model", "swdesign.inference",
+                 "swdesign.search", "swdesign.designspace")
+
+
+@pytest.mark.parametrize("name,heavy", [
+    ("analytic.py", ("numpy",)),
+    ("cli.py", NUMPY_MODULES),
+    ("__init__.py", NUMPY_MODULES),
+])
+def test_front_modules_load_no_numpy(name, heavy):
+    # A cold `swdesign analytic` and a bare `import swdesign.cli` load
+    # neither numpy nor the compute modules; commands import those on use.
+    imports = module_imports((SRC / name).read_text(encoding="utf-8"))
+    assert [entry for entry in imports
+            if entry.split()[0].startswith(heavy)] == []
+
+
 def dense_calls(source: str) -> list[str]:
     """Matrix products (``@``, a BLAS call) and ``linalg.det`` (LAPACK)."""
     found = []
