@@ -455,7 +455,13 @@ def _run_dir(out, config_path, mode) -> Path:
     else:
         stem = Path(config_path).stem if config_path else mode
         d = Path("runs") / f"{stem}-{mode}"
-    d.mkdir(parents=True, exist_ok=True)
+    try:
+        d.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        # An existing file at the path or on the way to it, or no permission.
+        raise click.ClickException(
+            f"--out: cannot create the run directory {d}: {exc.strerror}"
+        ) from None
     return d
 
 
@@ -465,9 +471,12 @@ def _dump_json(obj, path) -> None:
         fh.write("\n")
 
 
-def _write_meta(run_dir, **extra) -> None:
-    """Run metadata that results must not depend on: time, worker count."""
-    _dump_json({"written_at": time.strftime("%Y-%m-%dT%H:%M:%S%z"), **extra},
+def _write_run(run_dir, cfg, result, **meta) -> None:
+    """Write a run's config and result, and in ``meta.json`` what results
+    must not depend on: the time and, say, the worker count."""
+    _dump_json(cfg, run_dir / "config.json")
+    _dump_json(result, run_dir / "result.json")
+    _dump_json({"written_at": time.strftime("%Y-%m-%dT%H:%M:%S%z"), **meta},
                run_dir / "meta.json")
 
 
@@ -486,47 +495,37 @@ def _design_payload(design: Design) -> dict:
     }
 
 
-def _pct(new: float, old: float) -> str:
-    delta = 100.0 * (new - old) / old
-    return f"({delta:+.1f}%)"
+#: The four statistics of a design's report: printed label and format,
+#: ``table.csv`` column and key in :func:`evaluate_design`'s report.
+_STATS = (("f(D)", ".0f", "cost", "cost"),
+          ("det(Lambda_q)", ".4g", "det", "D"),
+          ("tr(Lambda_q)/q", ".4g", "trace_over_q", "A"),
+          ("max diag(Lambda_q)", ".4g", "max_diag", "E"))
 
 
-def _report_lines(stats: dict, compare: dict | None) -> list[str]:
-    lines = []
+def _rows(stats: dict) -> list:
+    """``(label, format, column, value)`` of each number a report gives."""
     power = stats.get("power")
-    if power is not None:
-        for f, val in enumerate(power.per_hypothesis, start=1):
-            cmp_txt = ""
-            if compare is not None:
-                cmp_txt = " " + _pct(val, compare["power"].per_hypothesis[f - 1])
-            lines.append(f"P(reject H0{f} | delta{f})  {val:.4f}{cmp_txt}")
-        cmb = power.combined
-        cmp_txt = (
-            " " + _pct(cmb, compare["power"].combined) if compare else ""
-        )
-        lines.append(f"P(reject any H0)       {cmb:.4f}{cmp_txt}")
-    for key, label in (("cost", "f(D)"), ("D", "det(Lambda_q)"),
-                       ("A", "tr(Lambda_q)/q"), ("E", "max diag(Lambda_q)")):
-        val = stats[key]
-        cmp_txt = " " + _pct(val, compare[key]) if compare else ""
-        if key == "cost":
-            lines.append(f"{label:<22} {val:.0f}{cmp_txt}")
-        else:
-            lines.append(f"{label:<22} {val:.4g}{cmp_txt}")
-    return lines
+    rows = [] if power is None else [
+        *((f"P(reject H0{f} | delta{f}) ", ".4f", f"power_{f}", val)
+          for f, val in enumerate(power.per_hypothesis, start=1)),
+        ("P(reject any H0)", ".4f", "power_combined", power.combined)]
+    return rows + [(label, fmt, col, stats[key])
+                   for label, fmt, col, key in _STATS]
 
 
-def _stats_csv(stats: dict, path) -> None:
-    power = stats.get("power")
-    row = {}
-    if power is not None:
-        for f, val in enumerate(power.per_hypothesis, start=1):
-            row[f"power_{f}"] = val
-        row["power_combined"] = power.combined
-    for key, col in (("cost", "cost"), ("D", "det"),
-                     ("A", "trace_over_q"), ("E", "max_diag")):
-        row[col] = stats[key]
-    _write_csv(path, [list(row), [float(val) for val in row.values()]])
+def _report(stats: dict, compare: dict | None, run_dir, X=None) -> None:
+    """Print a design's report, with the change from ``compare`` if given,
+    and write its ``table.csv`` and, given ``X``, its ``design.csv``."""
+    rows = _rows(stats)
+    olds = [row[3] for row in _rows(compare)] if compare else [None] * len(rows)
+    for (label, fmt, _, val), old in zip(rows, olds):
+        change = "" if old is None else f" ({100.0 * (val - old) / old:+.1f}%)"
+        click.echo(f"{label:<22} {val:{fmt}}{change}")
+    _write_csv(run_dir / "table.csv", [[row[2] for row in rows],
+                                       [float(row[3]) for row in rows]])
+    if X is not None:
+        write_design_csv(X, run_dir / "design.csv")
 
 
 def _power_payload(power) -> dict | None:
@@ -614,22 +613,15 @@ def evaluate(config_path, design_path, compare_path, m_override, seed, out):
     comparator = _comparator(cfg, compare_path, design.D, design.m)
     compare = None if comparator is None else evaluate_design(
         comparator, vc, spec, seed)
-    for line in _report_lines(stats, compare):
-        click.echo(line)
     run_dir = _run_dir(out, config_path, "evaluate")
-    _dump_json(cfg, run_dir / "config.json")
-    _dump_json(
-        {
-            "design": _design_payload(design),
-            "cost": stats["cost"],
-            "criteria": {"D": stats["D"], "A": stats["A"], "E": stats["E"]},
-            "power": _power_payload(stats.get("power")),
-            "seed": seed,
-        },
-        run_dir / "result.json",
-    )
-    _stats_csv(stats, run_dir / "table.csv")
-    _write_meta(run_dir)
+    _report(stats, compare, run_dir)
+    _write_run(run_dir, cfg, {
+        "design": _design_payload(design),
+        "cost": stats["cost"],
+        "criteria": {"D": stats["D"], "A": stats["A"], "E": stats["E"]},
+        "power": _power_payload(stats.get("power")),
+        "seed": seed,
+    })
 
 
 _WORKERS = click.option(
@@ -669,30 +661,22 @@ def search(config_path, workers, seed, out, compare_path):
             vc, cfg_power, seed))
     run_dir = _run_dir(out, config_path, "search")
     if result.best is not None:
-        stats = dict(evaluate_design(result.best, vc), power=result.power)
-        for line in _report_lines(stats, compare):
-            click.echo(line)
-        _stats_csv(stats, run_dir / "table.csv")
-        write_design_csv(result.best.X, run_dir / "design.csv")
-    _dump_json(cfg, run_dir / "config.json")
-    _dump_json(
-        {
-            "status": result.status,
-            "criterion": objective.criterion.name,
-            "w": objective.w,
-            "best": _design_payload(result.best) if result.best else None,
-            "criterion_value": _finite(result.criterion_value),
-            "cost": _finite(result.cost),
-            "objective_value": _finite(result.objective_value),
-            "scaling": {k: _finite(v) for k, v in result.scaling.items()},
-            "n_evaluated": result.n_evaluated,
-            "n_feasible": result.n_feasible,
-            "power": _power_payload(result.power),
-            "seed": seed,
-        },
-        run_dir / "result.json",
-    )
-    _write_meta(run_dir, workers=workers)
+        _report(dict(evaluate_design(result.best, vc), power=result.power),
+                compare, run_dir, result.best.X)
+    _write_run(run_dir, cfg, {
+        "status": result.status,
+        "criterion": objective.criterion.name,
+        "w": objective.w,
+        "best": _design_payload(result.best) if result.best else None,
+        "criterion_value": _finite(result.criterion_value),
+        "cost": _finite(result.cost),
+        "objective_value": _finite(result.objective_value),
+        "scaling": {k: _finite(v) for k, v in result.scaling.items()},
+        "n_evaluated": result.n_evaluated,
+        "n_feasible": result.n_feasible,
+        "power": _power_payload(result.power),
+        "seed": seed,
+    }, workers=workers)
     if result.status == "no-admissible-design":
         click.echo(
             "no design in the space is identifiable" if result.best is None
@@ -734,26 +718,18 @@ def ce_search(config_path, seed, out):
     except SearchFailure as exc:
         raise click.ClickException(f"space: {exc}") from None
     run_dir = _run_dir(out, config_path, "ce-search")
-    stats = dict(evaluate_design(result.best, vc), power=result.power)
-    for line in _report_lines(stats, None):
-        click.echo(line)
-    _stats_csv(stats, run_dir / "table.csv")
-    write_design_csv(result.best.X, run_dir / "design.csv")
-    _dump_json(cfg, run_dir / "config.json")
-    _dump_json(
-        {
-            "status": result.status,
-            "criterion": objective.criterion.name,
-            "best": _design_payload(result.best),
-            "criterion_value": result.criterion_value,
-            "cost": result.cost,
-            "n_evaluated": result.n_evaluated,
-            "power": _power_payload(result.power),
-            "seed": params.seed,
-        },
-        run_dir / "result.json",
-    )
-    _write_meta(run_dir)
+    _report(dict(evaluate_design(result.best, vc), power=result.power),
+            None, run_dir, result.best.X)
+    _write_run(run_dir, cfg, {
+        "status": result.status,
+        "criterion": objective.criterion.name,
+        "best": _design_payload(result.best),
+        "criterion_value": result.criterion_value,
+        "cost": result.cost,
+        "n_evaluated": result.n_evaluated,
+        "power": _power_payload(result.power),
+        "seed": params.seed,
+    })
     if result.status == "no-admissible-design":
         click.echo("no sampled design met the power requirement", err=True)
         sys.exit(EXIT_NO_ADMISSIBLE)
@@ -802,9 +778,7 @@ def sensitivity(config_path, design_path, workers, seed, out):
             ("sigma2_c", "sigma2_eps", "variance_ratio"),
             *((*ax, float(r)) for ax, r in zip(axes, ratios.flat))])
         payload["ratio_design"] = X.tolist()
-    _dump_json(cfg, run_dir / "config.json")
-    _dump_json(payload, run_dir / "result.json")
-    _write_meta(run_dir, workers=workers)
+    _write_run(run_dir, cfg, payload, workers=workers)
     click.echo(
         f"{len(result.designs)} distinct optimal designs over "
         f"{result.design_ids.size} grid points"
@@ -840,11 +814,9 @@ def analytic(config_path, design_path, out):
         value = {**vars(value), "p": list(value.p)}
     elif op == "empirical-proportions":
         value = value.tolist()
-    click.echo(json.dumps({"op": op, "value": value}, sort_keys=True))
     run_dir = _run_dir(out, config_path, "analytic")
-    _dump_json(cfg, run_dir / "config.json")
-    _dump_json({"op": op, "value": value}, run_dir / "result.json")
-    _write_meta(run_dir)
+    click.echo(json.dumps({"op": op, "value": value}, sort_keys=True))
+    _write_run(run_dir, cfg, {"op": op, "value": value})
 
 
 if __name__ == "__main__":

@@ -284,12 +284,13 @@ def evaluate_design(
 ) -> dict:
     """Full report for one design: criteria values, cost and power."""
     summary = treatment_covariance(design, vc)
+    # Scored as the searches score: an identifiable design's Lambda_q is
+    # positive definite, so criterion_value's eigenvalue check is not needed.
     out = {
         "design": design.canonical(),
         "cost": total_observations(design),
-        "D": criterion_value(summary, Doptimal()),
-        "A": criterion_value(summary, Aoptimal()),
-        "E": criterion_value(summary, Eoptimal()),
+        **{name: float(criterion().batch(summary.Lambda_q[:, :, None])[0])
+           for name, criterion in _CRITERIA.items()},
         "Lambda_q": summary.Lambda_q,
     }
     if spec is not None:

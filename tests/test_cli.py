@@ -505,6 +505,34 @@ class TestConfigErrors:
         assert result.exit_code == 1
         assert "Error: power.delta has 1 entries" in result.output
 
+    @pytest.mark.parametrize("below", [False, True],
+                             ids=["a-file", "below-a-file"])
+    @pytest.mark.parametrize(
+        "command", ["evaluate", "search", "ce-search", "sensitivity",
+                    "analytic"],
+    )
+    def test_out_naming_a_file_is_one_error(self, runner, tmp_path, command,
+                                            below):
+        cfg = write_json(tmp_path / "small.json", {
+            "schema_version": 1, "model": {"rho": 0.05},
+            "space": {"D": 2, "T": 3, "C": 2, "m": 2}, "design": {"m": 2},
+            "ce": {"population_size": 20, "max_iterations": 2},
+            "sensitivity": {"steps": 2},
+            "analytic": {"op": "sequence-count", "E": 0.5},
+        })
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        out = taken / "sub" if below else taken
+        args = [command, "--config", cfg, "--out", str(out)]
+        if command == "evaluate":
+            write_design_csv([[0, 0, 1], [0, 1, 1]], tmp_path / "two.csv")
+            args += ["--design", str(tmp_path / "two.csv")]
+        result = runner.invoke(main, args)
+        assert_one_error(result, 1,
+                         f"--out: cannot create the run directory {out}")
+        # No report or value is printed before the run directory exists.
+        assert len(result.output.splitlines()) == 1
+
 
 def test_readme_config_section_matches_schema():
     # The README's "Command line" section names every config key, and each
@@ -593,6 +621,30 @@ def test_cold_start_imports_neither_scipy_nor_multiprocessing(
 #: The package modules that need numpy; only ``analytic`` does not.
 COMPUTE_MODULES = tuple(f"swdesign.{name}" for name in (
     "model", "inference", "search", "designspace"))
+
+
+@pytest.mark.parametrize("command", ["search", "evaluate"])
+def test_cold_compute_commands_load_no_statistics(tmp_path, reference_csv,
+                                                  command):
+    # Critical values come from the package's AS241 quantile; the standard
+    # library's statistics.NormalDist would load fractions and decimal too.
+    if command == "search":
+        # The combined-power benchmark block: every candidate's power.
+        cfg = reference_config(
+            tmp_path, space={"D": 3, "T": [3], "C": [3], "m": [4],
+                             "restrictions": ["monotone", "identifiable"]},
+            power={"alpha": 0.05, "correction": "bonferroni", "beta": 0.2,
+                   "delta": [1.5, 0.75], "power_type": "combined"},
+            objective={"w": 0.0, "criterion": "E"},
+        )
+        args = ["search", "--config", cfg]
+    else:
+        args = ["evaluate", "--config", reference_config(tmp_path),
+                "--design", reference_csv]
+    out, modules = run_cold(args + ["--out", str(tmp_path / "run")],
+                            ("statistics", "fractions", "decimal"))
+    assert modules == [[], []]
+    assert any(line.startswith("max diag(Lambda_q)") for line in out)
 
 
 def test_cold_analytic_loads_neither_numpy_nor_the_compute_modules(tmp_path):

@@ -1,6 +1,8 @@
 """Inference tests: critical values, power, and the orthant integral."""
 
 import math
+import tracemalloc
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -18,11 +20,16 @@ from swdesign import (
     power_report,
     treatment_covariance,
 )
+from swdesign import search
 from swdesign.inference import (
+    _MVN_POINTS,
+    _MVN_REPLICATES,
     _bvn_upper,
     _gauss_legendre,
+    _lattice_orthant,
     _ndtr,
     _ndtri,
+    _phi,
     _tvn_upper,
     variance_limits,
 )
@@ -52,6 +59,37 @@ class TestCriticalValue:
         assert critical_value(0.05, 2, "bonferroni") == pytest.approx(
             1.959963984540054, rel=1e-12
         )
+
+    def test_equals_the_stdlib_quantile_on_a_grid(self):
+        # The scalar quantile was statistics.NormalDist's AS241; the array
+        # AS241 gives the same bits on every alpha and alpha / q of a grid
+        # and on every beta that variance_limits takes.
+        stdlib = NormalDist()
+        for alpha in (k * 0.0005 for k in range(1, 2000)):
+            assert critical_value(alpha, 1, "none") == -stdlib.inv_cdf(alpha)
+            for q in range(2, 11):
+                assert critical_value(alpha, q, "bonferroni") == (
+                    -stdlib.inv_cdf(alpha / q))
+        delta = np.array([0.3, 0.75, 1.5])
+        for e in (critical_value(0.05, 3, "bonferroni"),
+                  critical_value(0.45, 1)):
+            for beta in (k * 0.005 for k in range(1, 200)):
+                s = e + -stdlib.inv_cdf(beta)
+                want = (np.full(3, np.inf) if s <= 0 else (delta / s) ** 2)
+                np.testing.assert_array_equal(
+                    variance_limits(delta, e, beta), want)
+
+    def test_random_tails_match_the_stdlib_and_scipy(self):
+        # Off the grid np.log and math.log can round apart: 8 of 400,000
+        # random tails differed from NormalDist by one ulp.  Both lie within
+        # 7 ulp (1.1e-15 relative) of scipy's quantile.
+        rng = np.random.default_rng(3)
+        tails = np.concatenate([rng.random(5_000),
+                                10.0 ** rng.uniform(-12, 0, 5_000)])
+        got = np.array([critical_value(t, 1) for t in tails])
+        stdlib = np.array([-NormalDist().inv_cdf(t) for t in tails])
+        assert (np.abs(got - stdlib) <= np.spacing(np.abs(stdlib))).all()
+        np.testing.assert_allclose(got, norm.isf(tails), rtol=2e-15, atol=0)
 
     def test_invalid_inputs(self):
         with pytest.raises(ValueError):
@@ -279,6 +317,66 @@ class TestOrthant:
         corr = np.eye(q)
         corr[0, 1] = corr[1, 0] = -(1.0 + 5e-11)
         assert 0.0 <= mvn_upper_orthant(np.zeros(q), np.zeros(q), corr) <= 1
+
+
+def _lattice_all_at_once(b, corr, vals, seed):
+    """The ``q >= 4`` lattice integral with every replicate's points live."""
+    q = b.size
+    order = np.argsort(b)
+    b = b[order]
+    corr = corr[np.ix_(order, order)]
+    try:
+        L = np.linalg.cholesky(corr)
+    except np.linalg.LinAlgError:
+        jitter = max(1e-12, -vals[0] * 2 + 1e-12)
+        L = np.linalg.cholesky(corr + jitter * np.eye(q))
+    d = q - 1
+    z = np.sqrt(np.array((2, 3, 5, 7, 11, 13, 17, 19, 23)[:d])) % 1.0
+    base = np.outer(np.arange(1, _MVN_POINTS + 1), z) % 1.0
+    shifts = np.random.default_rng(seed).random((_MVN_REPLICATES, 1, d))
+    w = np.abs(2.0 * ((base + shifts) % 1.0) - 1.0).reshape(-1, d)
+    n = w.shape[0]
+    cond = np.full(n, _phi(b[0] / L[0, 0]))
+    prob = cond.copy()
+    y = np.empty((n, d))
+    for i in range(1, q):
+        y[:, i - 1] = _ndtri(np.clip(w[:, i - 1] * cond, 1e-15, 1 - 1e-15))
+        cond = _ndtr((b[i] - y[:, :i] @ L[i, :i]) / L[i, i])
+        prob *= cond
+    return float(prob.mean())
+
+
+class TestLattice:
+    @pytest.mark.parametrize("q", [4, 6])
+    def test_peak_within_the_scan_budget(self, q):
+        # One replicate of points at a time: about 1.5 MiB at q = 4 and
+        # 1.8 MiB at q = 6, against 10.3 and 12.4 MiB with all eight.
+        corr = _random_correlation(np.random.default_rng(q), q)
+        args = (np.full(q, 1.0), np.zeros(q), corr)
+        mvn_upper_orthant(*args)
+        tracemalloc.start()
+        try:
+            mvn_upper_orthant(*args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= search._BUDGET
+
+    def test_equals_the_all_at_once_integral(self):
+        # The replicate sums are added where numpy's pairwise sum of all
+        # the points splits them, so the value keeps every bit.
+        rng = np.random.default_rng(11)
+        for _ in range(24):
+            q = int(rng.integers(4, 8))
+            A = rng.standard_normal((q, q - 1 + int(rng.integers(0, 3))))
+            S = A @ A.T + rng.uniform(0.0, 0.3) * np.eye(q)
+            sd = np.sqrt(np.diag(S))
+            corr = S / np.outer(sd, sd)
+            b = rng.normal(0.0, 1.5, q)
+            vals = np.linalg.eigvalsh(corr)
+            seed = int(rng.integers(0, 2**31))
+            assert _lattice_orthant(b, corr, vals, seed) == (
+                _lattice_all_at_once(b, corr, vals, seed))
 
 
 def test_gauss_legendre_table_is_leggauss():

@@ -140,6 +140,29 @@ class TestEvaluateDesign:
         assert stats["cost"] == 288
         assert "power" not in stats
 
+    @pytest.mark.parametrize("T,C,m,D,names,equal", WHOLE_SPACES)
+    def test_criteria_equal_criterion_value_on_whole_space(
+        self, T, C, m, D, names, equal
+    ):
+        # evaluate_design scores as the searches do, without
+        # criterion_value's eigenvalue check, and keeps every bit.
+        from swdesign.designspace import restriction_from_name
+        from swdesign.model import kernel_sums
+
+        seqs = enumerate_sequences(
+            T, D, [restriction_from_name(n) for n in names]
+        )
+        raw, counts, _ = scan_block(seqs, T, D, C, equal)
+        ident, _ = kernel_sums(raw, T, D - 1)
+        criteria = (Doptimal(), Aoptimal(), Eoptimal())
+        for k in np.nonzero(ident)[0]:
+            rows = [s for s, c in zip(seqs, counts[k]) for _ in range(int(c))]
+            design = Design(m, C, T, np.array(rows), D)
+            stats = evaluate_design(design, VC)
+            summary = treatment_covariance(design, VC)
+            assert [stats[c.name] for c in criteria] == [
+                criterion_value(summary, c) for c in criteria]
+
 
 # ---------------------------------------------------------------------------
 # Exhaustive search

@@ -99,6 +99,38 @@ def test_front_modules_load_no_numpy(name, heavy):
             if entry.split()[0].startswith(heavy)] == []
 
 
+def statistics_imports(source: str) -> list[str]:
+    """Imports of the standard library's ``statistics``, wherever they are."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names = [node.module]
+        else:
+            continue
+        found += [f"{name} (line {node.lineno})" for name in names
+                  if name.split(".")[0] == "statistics"]
+    return sorted(found)
+
+
+def test_checker_flags_statistics_imports():
+    source = ("import os, statistics\nfrom statistics import NormalDist\n"
+              "def f():\n    import statistics as st\n"
+              "from .statistics import x\nimport statistics_extra\n")
+    assert statistics_imports(source) == [
+        "statistics (line 1)", "statistics (line 2)", "statistics (line 4)",
+    ]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_no_module_imports_statistics(path):
+    # The normal quantile is AS241 for scalars and arrays alike (inference);
+    # statistics would also load fractions and decimal into every command.
+    assert statistics_imports(path.read_text(encoding="utf-8")) == []
+
+
 def dense_calls(source: str) -> list[str]:
     """Matrix products (``@``, a BLAS call) and ``linalg.det`` (LAPACK)."""
     found = []
