@@ -752,8 +752,10 @@ def sensitivity(config_path, design_path, workers, seed, out):
     X = read_design_csv(design_path) if design_path else None
     try:
         grid = GridSpec(**cfg.get("sensitivity", {}))
-        result = sensitivity_map(grid, space, objective, spec,
-                                 workers=workers, seed=seed)
+        result = sensitivity_map(
+            grid, space, objective, spec, workers=workers, seed=seed,
+            **{k: v for k, v in cfg.items() if k == "candidate_cap"},
+        )
         if X is not None:
             ratios = variance_ratio_map(X, grid, space, objective, spec,
                                         m=cfg.get("design", {}).get("m"),
@@ -762,6 +764,8 @@ def sensitivity(config_path, design_path, workers, seed, out):
         raise click.ClickException(f"sensitivity: {exc}") from None
     except SearchFailure as exc:
         raise click.ClickException(f"space: {exc}") from None
+    except CandidateCapExceeded as exc:
+        raise click.ClickException(str(exc)) from None
     run_dir = _run_dir(out, config_path, "sensitivity")
     axes = [(float(sc2), float(se2)) for sc2 in result.sigma2_c_values
             for se2 in result.sigma2_eps_values]

@@ -29,8 +29,9 @@ from __future__ import annotations
 
 import functools
 import itertools
+import os
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from math import comb
 
 import numpy as np
@@ -225,7 +226,8 @@ class SearchResult:
     n_evaluated : int
         Candidates evaluated.
     n_feasible : int
-        Candidates that were identifiable and met the power requirement.
+        Candidates that were identifiable and met the power requirement;
+        -1 for the cross-entropy search, which does not count them.
     status : str
         ``'ok'`` or ``'no-admissible-design'``.
     """
@@ -303,8 +305,7 @@ def evaluate_design(
 # ---------------------------------------------------------------------------
 
 
-def _plan(n: int, T: int, q: int, C: int, cap: int | None = None,
-          equal_alloc: bool = False):
+def _plan(n: int, T: int, q: int, C: int, equal_alloc: bool = False):
     """``(s, cap)``: suffix length and chunk size of a block of ``n`` rows.
 
     A row of the block's suffix table takes 8 bytes for each of its
@@ -321,12 +322,8 @@ def _plan(n: int, T: int, q: int, C: int, cap: int | None = None,
     ``cap`` candidates fit beside that table.  A chunk holds at least one
     prefix, whose candidates are at most all the table's rows.  The table
     takes under half the budget, so building it, with the previous size's
-    table live, fits too.  A given ``cap`` sets ``s`` to the longest suffix
-    whose table holds at most ``cap`` rows.
+    table live, fits too.
     """
-    if cap is not None:
-        return next(s for s in range(C, -1, -1)
-                    if comb(n + s - 1, s) <= cap), cap
     F = q * (T + 2 * q + 1) + 1
     per = 8 * (F + 2 * q * q + C + 6)
     if equal_alloc:
@@ -530,32 +527,60 @@ def _score(sums, T: int, m: int, vc, criterion, spec, seed: int):
     return criterion.batch(Lambda), _power_feasible(Lambda, spec, seed)
 
 
-def _merge_leaders(acc: list, later: list) -> list:
-    """Leaders ``acc`` of a stream of ``(criterion, ...)`` records extended.
+@dataclass(frozen=True)
+class Champion:
+    """A candidate a search keeps, ranked by :func:`_better`."""
+
+    crit: float
+    cost: float
+    block: tuple  # (m, C, T)
+    rows: tuple  # canonical rows
+
+
+def _merge_leaders(acc: tuple, later: tuple) -> tuple:
+    """Leaders ``acc`` of a stream of champions extended by ``later`` ones.
 
     A stream's champion is its first record within ``_TIE_RTOL`` of its
     minimum.  Every record before it is larger, so it is a strict running
     minimum; the leaders are those running minima, in stream order, within
     tolerance of the minimum so far.  The first leader is the champion
-    however the stream is split into ``later`` parts.
+    however the stream is split into ``later`` parts, and the last holds
+    the minimum.
     """
     out = list(acc)
     for r in later:
-        if not out or r[0] < out[-1][0]:
+        if not out or r.crit < out[-1].crit:
             out.append(r)
-    low = out[-1][0]
-    return [r for r in out if r[0] <= low + _TIE_RTOL * low]
+    low = out[-1].crit if out else 0.0
+    return tuple(r for r in out if r.crit <= low + _TIE_RTOL * low)
+
+
+@dataclass(frozen=True)
+class Block:
+    """An ``(m, C, T)`` block's counts, largest criterion and leaders."""
+
+    n_evaluated: int = 0
+    n_feasible: int = 0
+    crit_max: float = -np.inf
+    feasible: tuple = ()
+    unconstrained: tuple = ()
+
+    def merge(self, later: Block) -> Block:
+        """This block's record followed by a later chunk's."""
+        return Block(
+            self.n_evaluated + later.n_evaluated,
+            self.n_feasible + later.n_feasible,
+            max(self.crit_max, later.crit_max),
+            _merge_leaders(self.feasible, later.feasible),
+            _merge_leaders(self.unconstrained, later.unconstrained),
+        )
 
 
 def _scan_chunk(job: dict) -> list:
-    """Records of one chunk of a ``(T, C)`` block at every search setting.
+    """One ``{(m, C, T): Block}`` table of a chunk per search setting.
 
     The chunk is enumerated once and reduced to the kernel sums of its
-    identifiable candidates.  Per ``vc`` and ``m`` the record is
-    ``(n_evaluated, n_feasible, extrema, feasible, unconstrained)``: the
-    cost and criterion range over identifiable candidates, and the
-    :func:`_merge_leaders` of the feasible and of all identifiable
-    candidates as ``(crit, cost, (m, C, T), rows)`` records.
+    identifiable candidates, then scored per ``vc`` and ``m``.
     """
     C, T = job["C"], job["T"]
     raw, rows_of = _combo_counts(job)
@@ -564,9 +589,9 @@ def _scan_chunk(job: dict) -> list:
     del raw  # the compacted sums are copies: free the chunk's raw sums
     rows_at = np.nonzero(ident)[0]
 
-    def record(vc, m):
+    def block(vc, m):
         if not rows_at.size:
-            return k, 0, None, [], []
+            return Block(k)
         crit, feasible = _score(
             sums, T, m, vc, job["criterion"], job["spec"], job["seed"]
         )
@@ -575,21 +600,20 @@ def _scan_chunk(job: dict) -> list:
         def leaders(vals):
             low = vals.min()
             if not np.isfinite(low):
-                return []
-            near = np.nonzero(vals <= low + _TIE_RTOL * low)[0]
-            lead = _merge_leaders([], [(vals[j], j) for j in near])
-            return [(float(crit[j]), cost, (m, C, T), rows_of(rows_at[j]))
-                    for _, j in lead]
+                return ()
+            lead, least = [], np.inf
+            for j in np.nonzero(vals <= low + _TIE_RTOL * low)[0]:
+                if vals[j] < least:  # a strict running minimum
+                    lead.append(j)
+                    least = vals[j]
+            return tuple(
+                Champion(float(crit[j]), cost, (m, C, T), rows_of(rows_at[j]))
+                for j in lead)
 
-        return (
-            k,
-            int(feasible.sum()),
-            (cost, float(crit.min()), float(crit.max())),
-            leaders(np.where(feasible, crit, np.inf)),
-            leaders(crit),
-        )
+        return Block(k, int(feasible.sum()), float(crit.max()),
+                     leaders(np.where(feasible, crit, np.inf)), leaders(crit))
 
-    return [[record(vc, m) for m in job["ms"]] for vc in job["vcs"]]
+    return [{(m, C, T): block(vc, m) for m in job["ms"]} for vc in job["vcs"]]
 
 
 def _better(a, b):
@@ -603,76 +627,67 @@ def _better(a, b):
         return b
     if b is None:
         return a
-    if abs(a[0] - b[0]) > _TIE_RTOL * max(abs(a[0]), abs(b[0])):
-        return a if a[0] < b[0] else b
-    if a[1] != b[1]:
-        return a if a[1] < b[1] else b
-    return a if a[3] <= b[3] else b
+    if abs(a.crit - b.crit) > _TIE_RTOL * max(abs(a.crit), abs(b.crit)):
+        return a if a.crit < b.crit else b
+    if a.cost != b.cost:
+        return a if a.cost < b.cost else b
+    return a if a.rows <= b.rows else b
 
 
-def _outcome(record, vc, D: int, spec, seed: int, **fields) -> SearchResult:
-    """Result for a champion ``record = (crit, cost, (m, C, T), rows)``."""
-    crit, cost, (m, C, T), rows = record
-    design = Design(m, C, T, np.array(rows, dtype=int), D)
+def _outcome(champion, vc, D: int, spec, seed: int, **fields) -> SearchResult:
+    """Result for a search's champion."""
+    m, C, T = champion.block
+    design = Design(m, C, T, np.array(champion.rows, dtype=int), D)
     power = None
     if spec.delta.size == D - 1:
         power = power_report(treatment_covariance(design, vc), spec, seed)
-    return SearchResult(best=design, criterion_value=crit, cost=cost,
-                        power=power, **fields)
+    return SearchResult(best=design, criterion_value=champion.crit,
+                        cost=champion.cost, power=power, **fields)
 
 
-def _result(records, vc, space, spec, objective, seed) -> SearchResult:
-    """The winner among one ``vc``'s :func:`_scan_chunk` records.
+def _result(table: dict, vc, space, spec, objective, seed) -> SearchResult:
+    """The winner of one ``vc``'s table of blocks.
 
-    The records come in stream order.  Each ``(m, C, T)`` champion is the
-    first candidate within ``_TIE_RTOL`` of that block's minimum, whatever
-    the chunking (:func:`_merge_leaders`); the champions then compete under
+    Each block's champion is its first feasible leader, the first candidate
+    within ``_TIE_RTOL`` of the block's minimum whatever the chunking
+    (:func:`_merge_leaders`); the champions then compete under
     :func:`_better` in block order, so neither the worker count nor the
     chunk size affects the outcome.
     """
-    extrema = [r[2] for r in records if r[2] is not None]
-    fmin = min((e[0] for e in extrema), default=np.inf)
-    fmax = max((e[0] for e in extrema), default=-np.inf)
-    gmin = min((e[1] for e in extrema), default=np.inf)
-    gmax = max((e[2] for e in extrema), default=-np.inf)
+    blocks = table.values()
+    leads = [b.unconstrained for b in blocks if b.unconstrained]
+    fmin = min((lead[0].cost for lead in leads), default=np.inf)
+    fmax = max((lead[0].cost for lead in leads), default=-np.inf)
+    gmin = min((lead[-1].crit for lead in leads), default=np.inf)
+    gmax = max((b.crit_max for b in blocks), default=-np.inf)
     scaling = dict(cost_min=fmin, cost_max=fmax,
                    criterion_min=gmin, criterion_max=gmax)
-    leaders: list[dict] = [{}, {}]
-    for r in records:
-        for store, later in zip(leaders, r[3:]):
-            if later:
-                key = later[0][2]
-                store[key] = _merge_leaders(store.get(key, []), later)
-    feasible, unconstrained = ([v[0] for v in store.values()]
-                               for store in leaders)
-    champions: dict[float, tuple] = {}
-    for ch in feasible:
-        champions[ch[1]] = _better(champions.get(ch[1]), ch)
-    n_evaluated = sum(r[0] for r in records)
-    n_feasible = sum(r[1] for r in records)
+    champions: dict[float, Champion] = {}
+    for ch in (b.feasible[0] for b in blocks if b.feasible):
+        champions[ch.cost] = _better(champions.get(ch.cost), ch)
 
-    def scaled_objective(cost, crit):
-        f_term = 0.0 if fmax <= fmin else (cost - fmin) / (fmax - fmin)
-        g_term = 0.0 if gmax <= gmin else (crit - gmin) / (gmax - gmin)
+    def scaled_objective(ch):
+        f_term = 0.0 if fmax <= fmin else (ch.cost - fmin) / (fmax - fmin)
+        g_term = 0.0 if gmax <= gmin else (ch.crit - gmin) / (gmax - gmin)
         return objective.w * f_term + (1.0 - objective.w) * g_term
 
     # The champions compete on the scaled objective under the same tie rule.
     winner = functools.reduce(_better, (
-        (scaled_objective(r[1], r[0]), r[1], r, r[3])
-        for r in champions.values()
+        replace(ch, crit=scaled_objective(ch)) for ch in champions.values()
     ), None)
     status = "ok" if winner is not None else "no-admissible-design"
-    record = winner[2] if winner else functools.reduce(
-        _better, unconstrained, None
+    champion = champions[winner.cost] if winner else functools.reduce(
+        _better, (lead[0] for lead in leads), None
     )
-    if record is None:
+    n_evaluated = sum(b.n_evaluated for b in blocks)
+    if champion is None:
         nan = float("nan")
         return SearchResult(None, nan, nan, nan, None, scaling, n_evaluated,
                             0, status)
     return _outcome(
-        record, vc, space.D, spec, seed, status=status, scaling=scaling,
-        objective_value=scaled_objective(record[1], record[0]),
-        n_evaluated=n_evaluated, n_feasible=n_feasible,
+        champion, vc, space.D, spec, seed, status=status, scaling=scaling,
+        objective_value=scaled_objective(champion), n_evaluated=n_evaluated,
+        n_feasible=sum(b.n_feasible for b in blocks),
     )
 
 
@@ -690,7 +705,8 @@ def _search(
 
     Each chunk of each ``(T, C)`` block is enumerated and reduced to its
     kernel sums once, then finished for every ``(vc, m)``; each ``vc`` keeps
-    its own records.  ``progress`` follows the first ``vc``.
+    one table of :class:`Block` records, into which every chunk's blocks
+    merge as they arrive.  ``progress`` follows the first ``vc``.
     """
     common = dict(
         D=space.D, vcs=vcs, equal_alloc=space.requires_equal_allocation(),
@@ -721,14 +737,17 @@ def _search(
         for first, count in _group_prefixes(len(seqs), C, s, cap)
     )
 
-    records = [[] for _ in vcs]
+    tables = [{} for _ in vcs]
 
     def absorb(res):
-        for group, chunk_records in zip(records, res):
-            group.extend(chunk_records)
+        for table, chunk in zip(tables, res):
+            for key, block in chunk.items():
+                table[key] = (table[key].merge(block) if key in table
+                              else block)
         if progress is not None:
-            progress(sum(r[0] for r in records[0]), min(
-                (r[3][-1][0] for r in records[0] if r[3]),
+            blocks = tables[0].values()
+            progress(sum(b.n_evaluated for b in blocks), min(
+                (b.feasible[-1].crit for b in blocks if b.feasible),
                 default=float("nan"),
             ))
 
@@ -740,13 +759,16 @@ def _search(
         # cold start that never uses it.
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        # A pool starts all its processes at once: one per usable CPU at
+        # most.  map keeps the job order, so chunks merge in stream order.
+        cpus = len(os.sched_getaffinity(0))
+        with ProcessPoolExecutor(max_workers=min(workers, cpus)) as pool:
             for res in pool.map(_scan_chunk, jobs, chunksize=1):
                 absorb(res)
 
     return [
-        _result(group, vc, space, spec, objective, seed)
-        for group, vc in zip(records, vcs)
+        _result(table, vc, space, spec, objective, seed)
+        for table, vc in zip(tables, vcs)
     ]
 
 
@@ -855,8 +877,7 @@ def cross_entropy_search(
     probs = np.full((C, n), 1.0 / n)
     n_elite = max(1, int(round(params.elite_fraction * params.population_size)))
 
-    # Champions are (crit, cost, (m, C, T), canonical rows) records, ranked
-    # by _better as in the exhaustive search.
+    # Champions are ranked by _better as in the exhaustive search.
     best = best_unconstrained = None
     cost = float(m * C * T)
     stall = 0
@@ -891,14 +912,14 @@ def cross_entropy_search(
         score[ident] = np.where(feasible, score[ident], np.inf)
         if np.isfinite(raw).any():
             un_j = int(np.argmin(raw))
-            best_unconstrained = _better(best_unconstrained, (
+            best_unconstrained = _better(best_unconstrained, Champion(
                 float(raw[un_j]), cost, (m, C, T), rows_of(idx[un_j])))
         order = np.argsort(score, kind="stable")
         elite = order[: n_elite][np.isfinite(score[order[:n_elite]])]
         improved = False
         if elite.size:
             j = int(elite[0])
-            cand = (float(score[j]), cost, (m, C, T), rows_of(idx[j]))
+            cand = Champion(float(score[j]), cost, (m, C, T), rows_of(idx[j]))
             if _better(best, cand) is cand:
                 best = cand
                 improved = True
@@ -916,11 +937,11 @@ def cross_entropy_search(
             "increase the population size"
         )
 
-    record = best if best is not None else best_unconstrained
+    champion = best if best is not None else best_unconstrained
     return _outcome(
-        record, vc, D, spec, params.seed,
+        champion, vc, D, spec, params.seed,
         status="ok" if best is not None else "no-admissible-design",
-        objective_value=record[0], scaling={}, n_evaluated=n_evaluated,
+        objective_value=champion.crit, scaling={}, n_evaluated=n_evaluated,
         n_feasible=-1,
     )
 
@@ -979,6 +1000,7 @@ def sensitivity_map(
     spec: PowerSpec,
     workers: int = 1,
     seed: int = 0,
+    candidate_cap: int = 10**8,
 ) -> SensitivityResult:
     """Optimal design across a grid of cross-sectional variance settings.
 
@@ -986,13 +1008,15 @@ def sensitivity_map(
     with no period or individual effects, and the optimum is the one
     :func:`exhaustive_search` finds there (most usefully with ``w = 0`` and
     ``beta = 1``).  One grouped scan builds each candidate's variance-free
-    kernel sums once and finishes them at every point.
+    kernel sums once and finishes them at every point; a space above
+    ``candidate_cap`` raises :class:`CandidateCapExceeded`, as there.
     Recurring winners are interned so the map stores compact identifiers.
     """
     xs, ys = grid.points()
     vcs = [VarianceComponents(sigma2_c=c, sigma2_eps=e)
            for c, e in itertools.product(xs, ys)]
-    results = _search(space, vcs, spec, objective, workers=workers, seed=seed)
+    results = _search(space, vcs, spec, objective, workers=workers,
+                      candidate_cap=candidate_cap, seed=seed)
     ids = np.empty((xs.size, ys.size), dtype=object)
     crit = np.empty((xs.size, ys.size))
     designs: dict[str, Design] = {}

@@ -85,13 +85,18 @@ def scan_block(seqs, T: int, D: int, C: int, equal_alloc: bool = False,
 
     Runs :func:`swdesign.search._combo_counts` on every chunk of the block
     split at suffix length ``s`` with at most ``cap`` candidates a chunk;
-    by default both as :func:`swdesign.search._plan` sets them, and ``s``
-    as the largest whose table holds at most ``cap`` candidates.  Returns
-    the concatenated ``F x k`` raw sums, the ``k x n`` count matrix read
-    back from each candidate's rows, and the chunk sizes.
+    by default both as :func:`swdesign.search._plan` sets them, and for a
+    given ``cap``, ``s`` as the longest suffix whose table holds at most
+    ``cap`` rows.  Returns the concatenated ``F x k`` raw sums, the
+    ``k x n`` count matrix read back from each candidate's rows, and the
+    chunk sizes.
     """
     n = len(seqs)
-    split, cap = search._plan(n, T, D - 1, C, cap, equal_alloc)
+    if cap is None:
+        split, cap = search._plan(n, T, D - 1, C, equal_alloc)
+    else:
+        split = next(s for s in range(C, -1, -1)
+                     if comb(n + s - 1, s) <= cap)
     s = split if s is None else s
     index = {tuple(seq): i for i, seq in enumerate(seqs)}
     raws, counts, sizes = [], [], []

@@ -1,6 +1,7 @@
 """Command-line interface tests."""
 
 import json
+import math
 import os
 import re
 import subprocess
@@ -1211,6 +1212,32 @@ class TestSensitivity:
         assert_one_error(result, 1, "Error: space: no identifiable design")
         assert result.output.count("\n") == 1
         assert not out.exists()
+
+    @pytest.mark.parametrize("space,cap,total", [
+        # 729 unrestricted sequences of length 6 over three arms.
+        ({"D": 3, "T": [6], "C": [12], "m": [8]}, None, math.comb(740, 12)),
+        # 4 monotone sequences of length 3 over two arms.
+        ({"D": 2, "T": 3, "C": 4, "m": 2, "restrictions": ["monotone"]},
+         10, 35),
+    ], ids=["default-cap", "config-cap"])
+    def test_space_above_the_candidate_cap(self, runner, tmp_path, space,
+                                           cap, total):
+        cfg = {"schema_version": 1, "space": space,
+               "sensitivity": {"steps": 2}}
+        if cap is not None:
+            cfg["candidate_cap"] = cap
+        path = write_json(tmp_path / "cap.json", cfg)
+        for command in ("search", "sensitivity"):
+            out = tmp_path / command
+            result = runner.invoke(
+                main, [command, "--config", path, "--out", str(out)]
+            )
+            assert_one_error(
+                result, 1, f"Error: space holds {total} candidates, above "
+                f"the cap of {cap or 10**8}; use the cross-entropy search",
+            )
+            assert result.output.count("\n") == 1
+            assert not out.exists()
 
 
 class TestAnalytic:

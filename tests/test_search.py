@@ -42,6 +42,7 @@ from swdesign.designspace import enumerate_sequences, equal_allocation
 from swdesign.inference import critical_value, power_report, variance_limits
 from swdesign.model import (
     CovarianceSummary,
+    is_identifiable,
     sequence_contributions,
     sequence_statistics,
 )
@@ -515,6 +516,60 @@ class TestExhaustiveSearch:
         assert calls[-1][0] > 0
         assert np.isfinite(calls[-1][1])
 
+    def test_progress_sequence_pinned(self):
+        # One call per chunk, here one per (T, C) block: the candidates
+        # scanned so far and the smallest feasible criterion, NaN while
+        # none is feasible.
+        calls = []
+        exhaustive_search(
+            BUDGETED, VC, PowerSpec(alpha=0.05, beta=0.2, delta=[2.0, 1.5]),
+            Objective(w=0.5, criterion=Eoptimal()),
+            progress=lambda n, best: calls.append((n, best)),
+        )
+        assert [n for n, _ in calls] == [165, 825, 1065, 2425]
+        assert np.isnan(calls[0][1])
+        assert [best for _, best in calls[1:]] == [
+            0.22196261682243, 0.22196261682243, 0.20986786757064382,
+        ]
+
+    def test_pool_holds_at_most_the_usable_cpus(self, monkeypatch):
+        # A process pool starts all its workers at once, so a huge worker
+        # count must not ask for that many.  The fake pool maps in this
+        # process: the test starts no process.
+        import concurrent.futures
+        import os
+
+        sizes = []
+
+        class InProcessPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs, chunksize=1):
+                return map(fn, jobs)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            InProcessPool)
+        spec = PowerSpec(alpha=0.05, beta=0.2, delta=[2.0, 1.5])
+        obj = Objective(w=0.5, criterion=Eoptimal())
+
+        def outcome(workers):
+            res = exhaustive_search(BUDGETED, VC, spec, obj, workers=workers)
+            return (res.best.m, res.best.sequences(), res.criterion_value,
+                    res.objective_value, res.n_evaluated, res.n_feasible,
+                    res.scaling)
+
+        want = outcome(1)
+        assert sizes == []
+        assert outcome(10_000) == want
+        assert sizes == [len(os.sched_getaffinity(0))]
+
     @pytest.mark.parametrize("crit_name", ["D", "A"])
     @pytest.mark.parametrize("w", [0.0, 0.5])
     @pytest.mark.parametrize("power_type", ["individual", "combined"])
@@ -603,6 +658,100 @@ class TestExhaustiveSearch:
         assert res.status == "ok"
         assert res.power is not None
         assert res.power.individual >= 1 - spec.beta
+
+
+#: ``(space, spec)`` of the block-table oracle: a budgeted space and one
+#: under equal allocation, where most candidates are never scored.
+TABLE_CASES = {
+    "budgeted": (BUDGETED,
+                 PowerSpec(alpha=0.05, beta=0.2, delta=[2.0, 1.5])),
+    "equal-allocation": (
+        DesignSpace.grid([3], [2, 3, 4], [2, 3], 3, (
+            MonotoneNondecreasing(), Identifiable(),
+            EqualSequenceAllocation())),
+        PowerSpec(alpha=0.05, beta=0.5, delta=[2.0, 1.5])),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def brute_force_blocks(case, vc, criterion):
+    """Per ``(m, C, T)`` of a ``TABLE_CASES`` space, what its block holds.
+
+    ``(n_evaluated, n_feasible, largest criterion, feasible champion rows,
+    unconstrained champion rows)`` from the designs of
+    :func:`enumeration.enumerate_designs`, one at a time.  A champion is
+    the first design in stream order within ``_TIE_RTOL`` of its block's
+    minimum criterion; None when the block has no candidate.
+    """
+    def champion(scored):
+        if not scored:
+            return None
+        low = min(crit for crit, _ in scored)
+        tol = search._TIE_RTOL * low
+        return next(rows for crit, rows in scored if crit <= low + tol)
+
+    space, spec = TABLE_CASES[case]
+    unfiltered = tuple(r for r in space.restrictions
+                       if not isinstance(r, Identifiable))
+    out = {}
+    for T, C, m in space.blocks():
+        n, ident = 0, []
+        block = DesignSpace.single(C, T, m, space.D, unfiltered)
+        for design in enumerate_designs(block, vc):
+            n += 1
+            if not is_identifiable(design, vc):
+                continue
+            summary = treatment_covariance(design, vc)
+            feasible = spec.beta >= 1 or power_report(
+                summary, spec).meets_requirement
+            ident.append((criterion_value(summary, criterion), feasible,
+                          design.sequences()))
+        out[m, C, T] = (
+            n, sum(f for _, f, _ in ident),
+            max((crit for crit, _, _ in ident), default=-np.inf),
+            champion([(crit, rows) for crit, f, rows in ident if f]),
+            champion([(crit, rows) for crit, _, rows in ident]),
+        )
+    return out
+
+
+class TestBlockTable:
+    """The table of blocks that the scan merges, per search setting."""
+
+    #: Two variance settings, as a sensitivity map scans them.
+    VCS = (VC, VarianceComponents.from_rho(1.0, 0.2))
+
+    @pytest.mark.parametrize("budget", [None, 1], ids=["default", "one"])
+    @pytest.mark.parametrize("case", sorted(TABLE_CASES))
+    def test_one_block_per_setting_matches_brute_force(
+        self, monkeypatch, case, budget
+    ):
+        space, spec = TABLE_CASES[case]
+        tables = []
+        result = search._result
+        monkeypatch.setattr(search, "_result", lambda table, *args: (
+            tables.append(table) or result(table, *args)))
+        if budget is not None:
+            # One candidate a chunk.
+            monkeypatch.setattr(search, "_BUDGET", budget)
+        criterion = Eoptimal()
+        search._search(space, list(self.VCS), spec, Objective(0.0, criterion))
+        assert len(tables) == len(self.VCS)
+        for table, vc in zip(tables, self.VCS):
+            want = brute_force_blocks(case, vc, criterion)
+            assert list(table) == list(want)
+            for key, block in table.items():
+                n, n_feasible, crit_max, feasible, unconstrained = want[key]
+                assert (block.n_evaluated, block.n_feasible) == (
+                    n, n_feasible)
+                assert block.crit_max == pytest.approx(crit_max, rel=1e-12)
+                assert [block.feasible[0].rows if block.feasible else None,
+                        block.unconstrained[0].rows
+                        if block.unconstrained else None] == [
+                    feasible, unconstrained]
+                for leader in block.feasible + block.unconstrained:
+                    assert (leader.cost, leader.block) == (
+                        float(key[0] * key[1] * key[2]), key)
 
 
 #: Sequence pools of 1, 4, 8 and 10 sequences.
