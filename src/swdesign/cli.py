@@ -166,6 +166,8 @@ def _number(value, path: str) -> None:
 def _integer(value, path: str) -> None:
     if isinstance(value, bool) or not isinstance(value, int):
         raise click.ClickException(f"{path} must be an integer, got {value!r}")
+    if not -2**63 <= value < 2**63:  # sizes end up in int64 and ssize_t
+        raise click.ClickException(f"{path} must fit in 64 bits, got {value}")
 
 
 def _text(value, path: str) -> None:
@@ -717,6 +719,10 @@ def ce_search(config_path, seed, out):
         )
     except SearchFailure as exc:
         raise click.ClickException(f"space: {exc}") from None
+    except MemoryError:  # arrays of C by the pool and by the population
+        raise click.ClickException(f"space.C = {C} with ce.population_size = "
+                                   f"{params.population_size}: the samples "
+                                   "do not fit in memory") from None
     run_dir = _run_dir(out, config_path, "ce-search")
     _report(dict(evaluate_design(result.best, vc), power=result.power),
             None, run_dir, result.best.X)

@@ -38,10 +38,12 @@ import numpy as np
 
 from .designspace import DesignSpace, enumerate_sequences, equal_allocation
 from .inference import (
+    ORTHANT_NODES,
     PowerReport,
     PowerSpec,
     critical_value,
     mvn_upper_orthant,
+    orthant_inputs,
     power_report,
     variance_limits,
 )
@@ -493,7 +495,8 @@ def _power_feasible(Lambda: list, spec: PowerSpec, seed: int) -> np.ndarray:
     variance threshold per effect.  Combined power is at least every
     effect's individual power, so a candidate that meets any one threshold
     has it; only the candidates that miss every threshold need the
-    combined-power orthant integral, and only they get a ``q x q`` matrix.
+    combined-power orthant integral, one slice of them per
+    :func:`~swdesign.inference.mvn_upper_orthant` call.
     """
     var = _variances(Lambda)
     if spec.beta >= 1:
@@ -505,15 +508,14 @@ def _power_feasible(Lambda: list, spec: PowerSpec, seed: int) -> np.ndarray:
     if spec.power_type != "combined":
         return functools.reduce(np.logical_and, meets)
     feasible = functools.reduce(np.logical_or, meets)
-    for i in np.nonzero(~feasible)[0]:
-        cov = np.array([[v[i] for v in row] for row in Lambda])
-        sd = np.sqrt(np.diag(cov))
-        corr = cov / np.outer(sd, sd)
-        np.fill_diagonal(corr, 1.0)
-        none_reject = mvn_upper_orthant(
-            np.full(q, e), spec.delta / sd, corr, seed
-        )
-        feasible[i] = 1.0 - none_reject >= 1.0 - spec.beta
+    todo = np.nonzero(~feasible)[0]
+    # An integral keeps up to 20 float vectors over its nodes live (34 kB at
+    # q = 3): a slice takes a quarter of _BUDGET, below the freed raw sums.
+    width = max(_BUDGET // (4 * 8 * 20 * ORTHANT_NODES.get(q, q * q)), 1)
+    for at in (todo[i:i + width] for i in range(0, todo.size, width)):
+        none_reject = mvn_upper_orthant(*orthant_inputs(
+            [[v[at] for v in row] for row in Lambda], spec.delta, e), seed)
+        feasible[at] = 1.0 - none_reject >= 1.0 - spec.beta
     return feasible
 
 

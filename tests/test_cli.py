@@ -449,6 +449,45 @@ class TestConfigErrors:
         assert expected in lines[0]
 
     @pytest.mark.parametrize(
+        "command,block,key,value,field",
+        [
+            ("search", "space", "D", 10**30, "space.D"),
+            ("search", "space", "T", [10**30], "space.T[0]"),
+            ("search", "space", "m", {"min": 2, "budget": 10**30},
+             "space.m.budget"),
+            ("ce-search", "space", "D", 10**30, "space.D"),
+            ("ce-search", "space", "C", [10**12], "space.C"),
+            ("ce-search", "ce", "population_size", 10**30,
+             "ce.population_size"),
+            ("ce-search", "ce", "population_size", 10**12,
+             "ce.population_size"),
+            ("sensitivity", "space", "T", 10**30, "space.T"),
+        ],
+        ids=["search-D", "search-T", "search-budget", "ce-D", "ce-C",
+             "ce-population-overflow", "ce-population-memory",
+             "sensitivity-T"],
+    )
+    def test_huge_integer_is_one_line_error(self, runner, tmp_path, command,
+                                            block, key, value, field):
+        # Each ended in OverflowError, MemoryError or numpy's "Maximum
+        # allowed dimension exceeded"; the memory cases ask for terabytes,
+        # which the allocator refuses at once.
+        cfg = {
+            "schema_version": 1,
+            "model": {"rho": 0.05},
+            "space": {"D": 2, "T": 3, "C": 3, "m": 2,
+                      "restrictions": ["monotone", "identifiable"]},
+            "ce": {"population_size": 20, "max_iterations": 2},
+            "sensitivity": {"steps": 2},
+        }
+        cfg[block][key] = value
+        result = runner.invoke(main, [
+            command, "--config", write_json(tmp_path / "cfg.json", cfg),
+            "--out", str(tmp_path / "r"),
+        ])
+        assert_one_error(result, 1, field)
+
+    @pytest.mark.parametrize(
         "model,keys",
         [
             ({"rho": 0.05, "sigma2_c": 0.9}, "'rho', 'sigma2_c'"),

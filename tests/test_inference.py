@@ -278,6 +278,19 @@ class TestOrthant:
         with pytest.raises(ValueError):
             mvn_upper_orthant(np.zeros(11), np.zeros(11), np.eye(11))
 
+    def test_no_dimension_rejected(self):
+        with pytest.raises(ValueError, match="dimension q"):
+            mvn_upper_orthant([], [], np.zeros((0, 0)))
+
+    @pytest.mark.parametrize("q", [1, 2, 3, 4])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", ["limits", "mean"])
+    def test_non_finite_limit_or_mean_rejected(self, q, value, where):
+        args = {"limits": np.zeros(q), "mean": np.zeros(q)}
+        args[where][-1] = value
+        with pytest.raises(ValueError, match="must be finite"):
+            mvn_upper_orthant(args["limits"], args["mean"], np.eye(q))
+
     def test_invalid_correlation_rejected(self):
         bad = np.array([[1.0, 0.5], [0.2, 1.0]])
         with pytest.raises(ValueError):
@@ -568,6 +581,93 @@ class TestTrivariate:
             for s in range(5)
         }
         assert len(values) == 1
+
+
+# ---------------------------------------------------------------------------
+# Stacks of problems
+# ---------------------------------------------------------------------------
+
+
+def _tvn_case(r):
+    """Which reorder of :func:`_tvn_upper` a correlation triple takes."""
+    a = np.abs(r)
+    return 2 if a[0] > max(a[1], a[2]) else int(a[1] > a[2])
+
+
+@pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+class TestBatches:
+    def test_bivariate_batch_equals_single_calls_and_scipy(self):
+        rng = np.random.default_rng(41)
+        n = 400
+        h, k = rng.uniform(-4.0, 4.0, size=(2, n))
+        r = np.concatenate((
+            rng.uniform(-0.99, 0.99, n // 2),
+            rng.choice([-1.0, 1.0]) * rng.uniform(0.925, 0.999, n // 4),
+            rng.choice([-1.0, 1.0], n - n // 2 - n // 4),
+        ))
+        # Both branches, r = +-1, negative r, and both orders of h and k.
+        low = np.abs(r) < 0.925
+        assert low.any() and (~low & (np.abs(r) < 1)).any()
+        assert (r == 1).any() and (r == -1).any()
+        assert (~low & (r < 0)).any() and (low & (r < 0)).any()
+        assert (h >= k).any() and (h < k).any()
+        got = _bvn_upper(h, k, r)
+        assert got.shape == (n,)
+        for i in range(n):
+            assert abs(got[i] - _bvn_upper(h[i], k[i], r[i])) <= 1e-15
+            if abs(r[i]) < 1:
+                want = multivariate_normal.cdf(
+                    [-h[i], -k[i]], cov=[[1.0, r[i]], [r[i], 1.0]])
+            elif r[i] > 0:
+                want = norm.sf(max(h[i], k[i]))
+            else:
+                want = max(0.0, norm.cdf(-k[i]) - norm.cdf(h[i]))
+            assert abs(got[i] - want) <= 1e-12, (h[i], k[i], r[i])
+
+    def test_trivariate_batch_matches_the_quad_oracle(self):
+        rng = np.random.default_rng(42)
+        r = np.array([_random_r(rng, kind) for kind in
+                      ("regular", "near", "unit") for _ in range(12)]).T
+        h = rng.uniform(-2.5, 2.5, size=r.shape)
+        # All three reorders, and r23 = +-1 after the reorder.
+        cases = [_tvn_case(r[:, j]) for j in range(r.shape[1])]
+        assert sorted(set(cases)) == [0, 1, 2]
+        top = np.abs(r).max(axis=0)
+        assert (top == 1).sum() == 12
+        got = _tvn_upper(h, r)
+        assert got.shape == (r.shape[1],)
+        for j in range(r.shape[1]):
+            single = _tvn_upper(h[:, j].tolist(), r[:, j].tolist())
+            assert abs(got[j] - single) <= 1e-15
+            ref = (_conditioning_reference if top[j] == 1
+                   else _plackett_reference)
+            want = ref(h[:, j].tolist(), r[:, j].tolist())
+            assert abs(got[j] - want) <= 1e-10, (h[:, j], r[:, j])
+
+    @pytest.mark.parametrize("q", [1, 2, 3, 4])
+    def test_stack_equals_single_problems(self, q):
+        rng = np.random.default_rng(q)
+        k = 5
+        corr = np.stack([_random_correlation(rng, q) for _ in range(k)],
+                        axis=-1)
+        limits = rng.uniform(-1.0, 2.0, size=(q, k))
+        mean = rng.uniform(-0.5, 0.5, size=(q, k))
+        got = mvn_upper_orthant(limits, mean, corr, seed=3)
+        assert got.shape == (k,)
+        for j in range(k):
+            one = mvn_upper_orthant(limits[:, j], mean[:, j], corr[:, :, j],
+                                    seed=3)
+            assert isinstance(one, float)
+            assert abs(got[j] - one) <= 1e-15
+
+    def test_a_fault_in_any_problem_of_a_stack_is_named(self):
+        corr = np.stack([np.eye(2)] * 3, axis=-1)
+        corr[0, 1, 2] = 0.5
+        with pytest.raises(ValueError, match="symmetric"):
+            mvn_upper_orthant(np.zeros((2, 3)), np.zeros((2, 3)), corr)
+        with pytest.raises(ValueError, match="match the limits"):
+            mvn_upper_orthant(np.zeros((2, 3)), np.zeros((2, 3)),
+                              corr[:, :, :2])
 
 
 # ---------------------------------------------------------------------------

@@ -422,16 +422,18 @@ class TestExhaustiveSearch:
             power_report(s, spec).meets_requirement for s in summaries
         )
         assert len(summaries) == 144 and n_below == 144 - 53
-        calls = []
+        # Each call integrates a slice: count its candidates.
+        widths = []
         orthant = search.mvn_upper_orthant
         monkeypatch.setattr(
             search, "mvn_upper_orthant",
-            lambda *args: calls.append(1) or orthant(*args),
+            lambda limits, *args: widths.append(limits.shape[1])
+            or orthant(limits, *args),
         )
         res = exhaustive_search(
             space, VC, spec, Objective(w=0.0, criterion=Eoptimal())
         )
-        assert len(calls) == n_below
+        assert sum(widths) == n_below
         assert res.n_feasible == n_meets == 65
         assert res.criterion_value == pytest.approx(0.22196, abs=1e-5)
 
@@ -895,6 +897,57 @@ class TestChunkStream:
         size, room = max(chunks)
         assert size > room
         assert peak <= search._BUDGET
+
+    @pytest.mark.parametrize("space,delta,width", [
+        (DesignSpace.budgeted([2, 3, 4, 5], [2, 3, 4, 5], 2, 24, 3,
+                              (MonotoneNondecreasing(), Identifiable())),
+         [1.5, 0.75], 327),
+        (DesignSpace.single(4, 4, 2, 4,
+                            (MonotoneNondecreasing(), Identifiable())),
+         [3.0, 1.5, 1.5], 29),
+    ], ids=["q2", "q3"])
+    def test_combined_search_peak_stays_within_the_budget(
+        self, monkeypatch, space, delta, width
+    ):
+        # The candidates below every limit take the orthant integral in
+        # slices beside the chunk, and some slices are full.
+        spec = PowerSpec(alpha=0.05, beta=0.2, delta=delta,
+                         power_type="combined")
+        widths = []
+        orthant = search.mvn_upper_orthant
+        monkeypatch.setattr(
+            search, "mvn_upper_orthant",
+            lambda limits, *args: widths.append(limits.shape[1])
+            or orthant(limits, *args),
+        )
+        search._suffix_table.cache_clear()
+        tracemalloc.start()
+        try:
+            res = exhaustive_search(space, VC, spec,
+                                    Objective(w=0.5, criterion=Eoptimal()))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res.status == "ok"
+        assert max(widths) == width
+        assert peak <= search._BUDGET
+
+    def test_small_three_effect_combined_search(self):
+        # Most of the 7,770 candidates miss every individual limit and take
+        # the trivariate integral; the count and the winner are pinned.
+        space = DesignSpace.single(3, 4, 3, 4,
+                                   (MonotoneNondecreasing(), Identifiable()))
+        spec = PowerSpec(alpha=0.05, correction="bonferroni", beta=0.12,
+                         delta=[1.5, 0.75, 0.75], power_type="combined")
+        res = exhaustive_search(space, VC, spec,
+                                Objective(w=0.0, criterion=Eoptimal()))
+        assert (res.status, res.n_evaluated, res.n_feasible) == ("ok", 7770,
+                                                                 268)
+        assert res.criterion_value == pytest.approx(0.28408260472399843,
+                                                    rel=1e-9)
+        assert (res.best.m, res.best.C, res.best.T) == (3, 3, 4)
+        assert res.best.sequences() == ((0, 0, 0, 1), (1, 1, 2, 2),
+                                        (2, 3, 3, 3))
 
 
 # ---------------------------------------------------------------------------
