@@ -536,7 +536,7 @@ def _power_payload(power) -> dict | None:
     return {
         "critical_value": power.critical_value,
         "per_hypothesis": [float(v) for v in power.per_hypothesis],
-        "combined": float(power.combined),
+        "combined": _finite(float(power.combined)),
         "meets_requirement": bool(power.meets_requirement),
     }
 
@@ -573,9 +573,9 @@ def _common_eval(cfg, design_path, m_override):
     return design, vc, spec if spec.q == design.q else None
 
 
-def _evaluate(design, vc, spec, seed):
+def _evaluate(design, vc, spec):
     try:
-        return evaluate_design(design, vc, spec, seed)
+        return evaluate_design(design, vc, spec)
     except NonIdentifiableError as exc:
         raise click.ClickException(
             f"design is not identifiable: {exc}") from None
@@ -604,17 +604,17 @@ def _comparator(cfg, compare_path, D: int, m: int):
 @click.option("--design", "design_path", required=True, type=click.Path(exists=True))
 @click.option("--compare", "compare_path", type=click.Path(exists=True))
 @click.option("--m", "m_override", type=int, help="Measurements per cluster-period.")
-@click.option("--seed", type=int, default=0)
+@click.option("--seed", type=int, hidden=True, expose_value=False)
 @click.option("--out", type=click.Path())
-def evaluate(config_path, design_path, compare_path, m_override, seed, out):
+def evaluate(config_path, design_path, compare_path, m_override, out):
     """Report criteria, cost and power for a design given as CSV."""
     _compute()
     cfg = load_config(config_path)
     design, vc, spec = _common_eval(cfg, design_path, m_override)
-    stats = _evaluate(design, vc, spec, seed)
+    stats = _evaluate(design, vc, spec)
     comparator = _comparator(cfg, compare_path, design.D, design.m)
     compare = None if comparator is None else evaluate_design(
-        comparator, vc, spec, seed)
+        comparator, vc, spec)
     run_dir = _run_dir(out, config_path, "evaluate")
     _report(stats, compare, run_dir)
     _write_run(run_dir, cfg, {
@@ -622,7 +622,6 @@ def evaluate(config_path, design_path, compare_path, m_override, seed, out):
         "cost": stats["cost"],
         "criteria": {"D": stats["D"], "A": stats["A"], "E": stats["E"]},
         "power": _power_payload(stats.get("power")),
-        "seed": seed,
     })
 
 
@@ -635,10 +634,10 @@ _WORKERS = click.option(
 @main.command()
 @click.option("--config", "config_path", required=True, type=click.Path(exists=True))
 @_WORKERS
-@click.option("--seed", type=int, default=0)
+@click.option("--seed", type=int, hidden=True, expose_value=False)
 @click.option("--out", type=click.Path())
 @click.option("--compare", "compare_path", type=click.Path(exists=True))
-def search(config_path, workers, seed, out, compare_path):
+def search(config_path, workers, out, compare_path):
     """Exhaustive admissible-design search."""
     _compute()
     cfg = load_config(config_path)
@@ -648,10 +647,10 @@ def search(config_path, workers, seed, out, compare_path):
     objective = _build_objective(cfg.get("objective", {}))
     # At the space's smallest m until the winner's m is known.
     comparator = _comparator(cfg, compare_path, space.D,
-                             min(map(min, space.M_sets.values())))
+                             min(ms[0] for ms in space.M_sets.values()))
     try:
         result = exhaustive_search(
-            space, vc, spec, objective, workers=workers, seed=seed,
+            space, vc, spec, objective, workers=workers,
             **{k: v for k, v in cfg.items() if k == "candidate_cap"},
         )
     except CandidateCapExceeded as exc:
@@ -660,7 +659,7 @@ def search(config_path, workers, seed, out, compare_path):
     compare = None if comparator is None or result.best is None else (
         evaluate_design(dataclasses.replace(
             comparator, m=cfg.get("compare", {}).get("m", result.best.m)),
-            vc, cfg_power, seed))
+            vc, cfg_power))
     run_dir = _run_dir(out, config_path, "search")
     if result.best is not None:
         _report(dict(evaluate_design(result.best, vc), power=result.power),
@@ -677,7 +676,6 @@ def search(config_path, workers, seed, out, compare_path):
         "n_evaluated": result.n_evaluated,
         "n_feasible": result.n_feasible,
         "power": _power_payload(result.power),
-        "seed": seed,
     }, workers=workers)
     if result.status == "no-admissible-design":
         click.echo(
@@ -700,12 +698,11 @@ def ce_search(config_path, seed, out):
     space = _build_space(cfg)
     spec = _build_power(cfg.get("power", {}), space.D - 1)
     objective = _build_objective(cfg.get("objective", {}))
-    blocks = list(space.blocks())
-    if len(blocks) != 1:
+    if sum(map(len, space.M_sets.values())) != 1:
         raise click.ClickException(
             "ce-search requires a single (m, C, T) combination in the space"
         )
-    T, C, m = blocks[0]
+    T, C, m = next(space.blocks())
     fields = dict(cfg.get("ce", {}))
     if seed is not None:
         fields["seed"] = seed
@@ -746,9 +743,8 @@ def ce_search(config_path, seed, out):
 @click.option("--design", "design_path", type=click.Path(exists=True),
               help="Fixed design for a variance-ratio map.")
 @_WORKERS
-@click.option("--seed", type=int, default=0)
 @click.option("--out", type=click.Path())
-def sensitivity(config_path, design_path, workers, seed, out):
+def sensitivity(config_path, design_path, workers, out):
     """Optimal-design map over a (sigma2_c, sigma2_eps) grid."""
     _compute()
     cfg = load_config(config_path)
@@ -759,7 +755,7 @@ def sensitivity(config_path, design_path, workers, seed, out):
     try:
         grid = GridSpec(**cfg.get("sensitivity", {}))
         result = sensitivity_map(
-            grid, space, objective, spec, workers=workers, seed=seed,
+            grid, space, objective, spec, workers=workers,
             **{k: v for k, v in cfg.items() if k == "candidate_cap"},
         )
         if X is not None:
@@ -782,7 +778,7 @@ def sensitivity(config_path, design_path, workers, seed, out):
     designs_payload = {
         did: _design_payload(d) for did, d in result.designs.items()
     }
-    payload = {"designs": designs_payload, "seed": seed}
+    payload = {"designs": designs_payload}
     if X is not None:
         _write_csv(run_dir / "ratio.csv", [
             ("sigma2_c", "sigma2_eps", "variance_ratio"),

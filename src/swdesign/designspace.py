@@ -158,7 +158,9 @@ class DesignSpace:
     C_sets : dict
         Map ``T -> tuple`` of candidate cluster counts.
     M_sets : dict
-        Map ``(C, T) -> tuple`` of candidate cluster-period sizes.
+        Map ``(C, T) ->`` ascending candidate cluster-period sizes: a
+        ``range`` stays one, so a budget's span of ``m`` is never listed,
+        and any other collection becomes a sorted tuple.
     restrictions : tuple of Restriction
         Conjunctive restrictions on ``X``.
     D : int
@@ -174,6 +176,9 @@ class DesignSpace:
     def __post_init__(self):
         object.__setattr__(self, "T_set", tuple(sorted(self.T_set)))
         object.__setattr__(self, "restrictions", tuple(self.restrictions))
+        object.__setattr__(self, "M_sets", {
+            key: ms if isinstance(ms, range) and ms.step > 0
+            else tuple(sorted(ms)) for key, ms in self.M_sets.items()})
         if not self.T_set:
             raise ValueError("T_set must be nonempty")
         for T in self.T_set:
@@ -190,7 +195,7 @@ class DesignSpace:
                     raise ValueError(
                         f"no cluster-period sizes configured for (C={C}, T={T})"
                     )
-                if min(Ms) < 2:
+                if Ms[0] < 2:
                     raise ValueError("all m must be >= 2")
         if self.D < 2:
             raise ValueError("D must be >= 2")
@@ -233,7 +238,7 @@ class DesignSpace:
                 )
         return cls._product(
             T_values, C_values,
-            lambda T: tuple(range(m_min, budget // T + 1)), D, restrictions,
+            lambda T: range(m_min, budget // T + 1), D, restrictions,
         )
 
     @classmethod
@@ -256,7 +261,7 @@ class DesignSpace:
         """Deterministic iteration over ``(T, C, m)`` combinations."""
         for T in self.T_set:
             for C in sorted(self.C_sets[T]):
-                for m in sorted(self.M_sets[(C, T)]):
+                for m in self.M_sets[(C, T)]:
                     yield T, C, m
 
     def requires_equal_allocation(self) -> bool:

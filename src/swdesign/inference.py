@@ -7,17 +7,17 @@ per-hypothesis (``correction='none'``) or via Bonferroni.  Individual power
 is the smallest per-hypothesis rejection probability at the clinically
 relevant differences ``delta``; combined power is the probability of
 rejecting at least one hypothesis, one minus a multivariate normal orthant
-probability.  For ``q <= 3`` that probability is deterministic and accurate
-to about 1e-12: for ``q = 2`` the Drezner & Wesolowsky (1990) bivariate
-normal as refined by Genz (2004), for ``q = 3`` Genz's (2004) trivariate
-method, a fixed quadrature of Plackett's (1954) identity over the bivariate
-normal.  Both run over arrays, on a stack of problems at once, and a search
-integrates its candidates in slices of a stack.  For ``q >= 4`` (up to 10)
-it is estimated per problem by Genz's sequential conditioning on a
-randomized rank-1 lattice rule.  Only ``math`` and numpy are used, not
+probability.  It is deterministic for ``q <= 4`` and accurate to about
+1e-12: for ``q = 2`` the Drezner & Wesolowsky (1990) bivariate normal as
+refined by Genz (2004), for ``q = 3`` Genz's (2004) trivariate method, a
+fixed quadrature of Plackett's (1954) identity over the bivariate normal,
+and for ``q = 4`` the same identity over the trivariate and bivariate
+ones.  All run over arrays, on a stack of problems at once, and a search
+integrates its candidates in slices of a stack.  Combined power for
+``q >= 5`` is not supported.  Only ``math`` and numpy are used, not
 the standard library's ``statistics``: the normal distribution function of
-arrays is Cody's (1969) rational ``erfc``, and the normal quantile, of
-scalars and arrays alike, is Wichura's (1988) AS241.
+arrays is Cody's (1969) rational ``erfc``, and the normal quantile is
+Wichura's (1988) AS241.
 """
 
 from __future__ import annotations
@@ -39,17 +39,8 @@ __all__ = [
     "power_report",
 ]
 
-#: Number of randomly shifted replicates and points per replicate of the
-#: lattice rule for ``q >= 4``.
-_MVN_REPLICATES = 8
-_MVN_POINTS = 2**13
-
 #: Panels of the composite rule for the trivariate orthant (``q = 3``).
 _TVN_PANELS = 11
-
-#: Square roots of these primes, modulo one, generate the Richtmyer lattice;
-#: nine of them cover the ``q - 1 <= 9`` conditioning dimensions.
-_LATTICE_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23)
 
 _SQRT2 = math.sqrt(2.0)
 _TWO_PI = 2.0 * math.pi
@@ -72,7 +63,8 @@ class PowerSpec:
         Length-``q`` positive, finite clinically relevant differences.
     power_type : str
         ``'individual'`` (reject every false null) or ``'combined'``
-        (reject at least one) for the feasibility requirement.
+        (reject at least one) for the feasibility requirement; combined
+        power takes at most four effects.
     """
 
     alpha: float
@@ -99,6 +91,9 @@ class PowerSpec:
                              f"finite numbers, got {delta.tolist()}")
         if delta.size and delta.min() <= 0:
             raise ValueError("delta entries must be positive")
+        if self.power_type == "combined" and delta.size > 4:
+            raise ValueError("combined power takes at most 4 effects, got "
+                             f"{delta.size}")
 
     @property
     def q(self) -> int:
@@ -116,7 +111,8 @@ class PowerReport:
     per_hypothesis : numpy.ndarray
         Length-``q`` probabilities of rejecting each hypothesis at ``delta``.
     combined : float
-        Probability of rejecting at least one hypothesis at ``delta``.
+        Probability of rejecting at least one hypothesis at ``delta``; NaN
+        for more than four hypotheses.
     meets_requirement : bool
         Whether the configured power type reaches ``1 - beta``.
     """
@@ -319,14 +315,14 @@ def variance_limits(delta, e: float, beta: float) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _check_corr(corr: np.ndarray, shape: tuple) -> np.ndarray | None:
+def _check_corr(corr: np.ndarray, shape: tuple) -> None:
     """Validate a ``q x q x k`` stack of correlations for ``(q, k)`` limits.
 
     Symmetry and the unit diagonal take the ``np.isclose`` tolerances.
     Positive semidefiniteness needs an eigenvalue solver only for
-    ``q >= 3``, which returns the ``(k, q)`` eigenvalues for the lattice
-    rule; for ``q = 2`` the smallest one has a closed form.  An infinite
-    entry makes the smallest eigenvalue NaN or ``-inf`` and is rejected.
+    ``q >= 3``; for ``q = 2`` the smallest eigenvalue has a closed form.
+    An infinite entry makes the smallest eigenvalue NaN or ``-inf`` and is
+    rejected.
     """
     q = shape[0]
     if corr.shape != (q, *shape):
@@ -336,13 +332,12 @@ def _check_corr(corr: np.ndarray, shape: tuple) -> np.ndarray | None:
     d = corr[range(q), range(q)]
     if not np.isclose(d, 1.0, atol=1e-8).all():
         raise ValueError("corr must have unit diagonal")
-    vals = np.linalg.eigvalsh(np.moveaxis(corr, -1, 0)) if q >= 3 else None
-    low = vals[:, 0] if q >= 3 else d[0] if q == 1 else (
-        (d[0] + d[1]) / 2 - np.hypot((d[0] - d[1]) / 2, corr[1, 0]))
+    low = (np.linalg.eigvalsh(np.moveaxis(corr, -1, 0))[:, 0] if q >= 3
+           else d[0] if q == 1 else
+           (d[0] + d[1]) / 2 - np.hypot((d[0] - d[1]) / 2, corr[1, 0]))
     # Written so that a NaN eigenvalue, from an infinite entry, fails too.
     if not (low >= -1e-10).all():
         raise ValueError("corr must be positive semidefinite")
-    return vals
 
 
 # The positive half of the 20-point Gauss-Legendre rule, digit for digit as
@@ -357,8 +352,11 @@ _GL_WEIGHTS = (0.15275338713072628, 0.14917298647260424, 0.1420961093183824,
                0.08327674157670471, 0.06267204833410879, 0.040601429800386446,
                0.017614007139150893)
 
-#: Quadrature nodes per problem: the bivariate rule, and it on each panel.
-ORTHANT_NODES = {2: 2 * len(_GL_NODES), 3: 2 * len(_GL_NODES) * _TVN_PANELS}
+#: Nodes per problem: one for the closed form, the bivariate rule, it on
+#: each panel, and the bivariate rule at each node of the panels.
+ORTHANT_NODES = {1: 1, 2: 2 * len(_GL_NODES),
+                 3: 2 * len(_GL_NODES) * _TVN_PANELS}
+ORTHANT_NODES[4] = ORTHANT_NODES[2] * ORTHANT_NODES[3]
 
 
 @lru_cache(maxsize=1)
@@ -479,78 +477,85 @@ def _tvn_upper(h, r):
                    0.0, 1.0)
 
 
-def _lattice_orthant(b, corr, vals, seed: int) -> float:
-    """Lower-orthant probability ``P(Y <= b)`` for ``q >= 4`` by lattice QMC.
+def _qvn_upper(h, r):
+    """``P(X > h)`` for standard quadrivariate normals with correlations ``r``.
 
-    Sequential conditioning (Genz 1992) with the variables ordered by
-    increasing limit, integrated by a Richtmyer rank-1 lattice rule with the
-    tent periodization, averaged over randomly shifted replicates.  One
-    replicate's points are live at a time.  Their sums are added pairwise,
-    where numpy's pairwise sum of all the points splits them, so the value
-    is that sum's, bit for bit.
+    ``h`` is ``4 x k`` and ``r`` is ``4 x 4 x k``, in [-1, 1]; each trailing
+    index is one problem.  The variable least correlated with the others
+    moves to the fourth place, and Plackett's (1954) identity integrates
+    the derivative along ``ri4(t) = t ri4`` from ``Phi(-h4) P(X1 > h1,
+    X2 > h2, X3 > h3)`` at ``t = 0``, as :func:`_tvn_upper` does one
+    dimension down::
+
+        dP/dt = sum_i ri4 phi2(hi, h4; ri4(t))
+                      P(Xj > hj, Xl > hl | Xi = hi, X4 = h4)
+
+    on the fixed rule of :func:`_tvn_nodes`.  Times ``1 - ri4(t)^2`` the
+    conditional variances of ``Xj`` and ``Xl`` are ``3 x 3`` minors of
+    ``R(t)`` and their covariance is a cofactor.  Where a variance reaches
+    zero its variable is a step: its standardised limit is cut to +-40,
+    beyond which ``Phi`` is 0 or 1.
+    Accurate to about 1e-12 absolute.
     """
-    q = b.size
-    order = np.argsort(b)
-    b = b[order]
-    corr = corr[np.ix_(order, order)]
-    try:
-        L = np.linalg.cholesky(corr)
-    except np.linalg.LinAlgError:
-        jitter = max(1e-12, -vals[0] * 2 + 1e-12)
-        L = np.linalg.cholesky(corr + jitter * np.eye(q))
-    d = q - 1
-    z = np.sqrt(np.array(_LATTICE_PRIMES[:d], dtype=float)) % 1.0
-    base = np.outer(np.arange(1, _MVN_POINTS + 1), z) % 1.0
-    shifts = np.random.default_rng(seed).random((_MVN_REPLICATES, 1, d))
-    tiny = 1e-15
-    sums = []
-    for shift in shifts:
-        w = np.abs(2.0 * ((base + shift) % 1.0) - 1.0)
-        cond = np.full(_MVN_POINTS, _phi(b[0] / L[0, 0]))
-        prob = cond.copy()
-        y = np.empty((_MVN_POINTS, d))
-        for i in range(1, q):
-            y[:, i - 1] = _ndtri(np.clip(w[:, i - 1] * cond, tiny, 1 - tiny))
-            cond = _ndtr((b[i] - y[:, :i] @ L[i, :i]) / L[i, i])
-            prob *= cond
-        sums.append(float(prob.sum()))
-    while len(sums) > 1:
-        sums = [s + t for s, t in zip(sums[::2], sums[1::2])]
-    return sums[0] / (_MVN_REPLICATES * _MVN_POINTS)
+    h, r = np.asarray(h, dtype=float), np.asarray(r, dtype=float)
+    off = np.abs(r)
+    off[range(4), range(4)] = 0.0
+    order = np.argsort(-off.max(axis=1), axis=0, kind="stable")
+    h = np.take_along_axis(h, order, axis=0)
+    r = r[order[:, None], order, np.arange(h.shape[1])]
+    at0 = _ndtr(-h[3]) * _tvn_upper(h[:3], r[[0, 0, 1], [1, 2, 2]])
+    t, w = _tvn_nodes()
+    h, r = h[..., None], r[..., None]
+    h4, s = h[3], t * r[:3, 3]
+    dp = 0.0
+    # One term per conditioning variable i, each with its own temporaries.
+    for i, j, l in ((0, 1, 2), (1, 0, 2), (2, 0, 1)):
+        ci = 1.0 - s[i] * s[i]
+        rij, ril = r[i, j], r[i, l]
+        vj = ci - rij * rij - s[j] * s[j] + 2.0 * s[i] * rij * s[j]
+        vl = ci - ril * ril - s[l] * s[l] + 2.0 * s[i] * ril * s[l]
+        cov = r[j, l] * ci - rij * ril - s[j] * s[l] + s[i] * (
+            rij * s[l] + s[j] * ril)
+        lim = [np.clip((ci * h[x] - (rix - s[x] * s[i]) * h[i]
+                        - (s[x] - rix * s[i]) * h4)
+                       / np.sqrt(np.maximum(ci * vx, 1e-300)), -40.0, 40.0)
+               for x, rix, vx in ((j, rij, vj), (l, ril, vl))]
+        rho = np.clip(cov / np.sqrt(np.maximum(vj * vl, 1e-300)), -1.0, 1.0)
+        dp += r[i, 3] * np.exp(
+            (s[i] * h[i] * h4 - (h[i] * h[i] + h4 * h4) / 2.0) / ci
+        ) / np.sqrt(ci) * _bvn_upper(*lim, rho)
+    return np.clip(at0 + dp @ w / _TWO_PI, 0.0, 1.0)
 
 
-def mvn_upper_orthant(limits, mean, corr, seed: int = 0):
+def mvn_upper_orthant(limits, mean, corr):
     """``P(Y_f <= limits_f for all f)`` for ``Y ~ N(mean, corr)``.
 
     One problem, with length-``q`` ``limits`` and ``mean`` and a ``q x q``
     ``corr``, gives a float; a stack of ``k`` on a trailing axis of each
-    gives ``k`` values.  ``q <= 3`` integrates a stack at once on arrays of
-    ``k`` times :data:`ORTHANT_NODES` entries, so callers slice large
-    stacks; it is accurate to about 1e-12 and ignores ``seed``.  ``q >= 4``
-    runs a randomized lattice rule per problem, deterministic for a fixed
-    ``seed``: at ``q = 4`` its absolute error over 8 seeds reached 2e-5 on
-    correlation matrices with smallest eigenvalue above 0.02, and 2e-4 on
-    nearly singular ones.  ``q`` up to 10 is supported.
+    gives ``k`` values.  ``q`` from 1 to 4 is supported, and a stack is
+    integrated at once on arrays of ``k`` times :data:`ORTHANT_NODES`
+    entries, so callers slice large stacks.  Deterministic and accurate to
+    about 1e-12.
     """
     b, corr = np.subtract(limits, mean, dtype=float), np.asarray(corr, float)
     single = b.ndim < 2
     if single:
         b, corr = b.reshape(-1, 1), corr[..., None]
     q = b.shape[0]
-    if not 1 <= q <= 10:
-        raise ValueError(f"dimension q must lie in 1..10, got {q}")
+    if not 1 <= q <= 4:
+        raise ValueError(f"dimension q must lie in 1..4, got {q}")
     if not np.isfinite(b).all():
         raise ValueError("limits and mean must be finite")
-    vals = _check_corr(corr, b.shape)
+    _check_corr(corr, b.shape)
+    r = np.clip(corr, -1.0, 1.0)
     if q == 1:
         value = _ndtr(b[0])
     elif q == 2:
-        value = _bvn_upper(-b[0], -b[1], np.clip(corr[0, 1], -1.0, 1.0))
+        value = _bvn_upper(-b[0], -b[1], r[0, 1])
     elif q == 3:
-        value = _tvn_upper(-b, np.clip(corr[[0, 0, 1], [1, 2, 2]], -1.0, 1.0))
+        value = _tvn_upper(-b, r[[0, 0, 1], [1, 2, 2]])
     else:
-        value = np.array([_lattice_orthant(b[:, j], corr[:, :, j], vals[j],
-                                           seed) for j in range(b.shape[1])])
+        value = _qvn_upper(-b, r)
     value = np.clip(value, 0.0, 1.0)
     return float(value[0]) if single else value
 
@@ -572,7 +577,7 @@ def orthant_inputs(Lambda, delta, e: float):
     return np.full(mean.shape, e), mean, corr
 
 
-def power_report(summary, spec: PowerSpec, seed: int = 0) -> PowerReport:
+def power_report(summary, spec: PowerSpec) -> PowerReport:
     """Full power evaluation of a design's covariance summary.
 
     Parameters
@@ -581,10 +586,7 @@ def power_report(summary, spec: PowerSpec, seed: int = 0) -> PowerReport:
         Treatment-effect covariance and information levels.
     spec : PowerSpec
         Error rates and effect sizes; ``len(spec.delta)`` must equal
-        ``summary.q``.
-    seed : int
-        Seed for the combined-power integral (used only when ``q >= 4``;
-        for ``q <= 3`` the combined power is deterministic).
+        ``summary.q``.  The combined power is NaN for ``q >= 5``.
     """
     if spec.q != summary.q:
         raise ValueError(
@@ -593,9 +595,9 @@ def power_report(summary, spec: PowerSpec, seed: int = 0) -> PowerReport:
     e = critical_value(spec.alpha, summary.q, spec.correction)
     info = np.asarray(summary.info, dtype=float)
     per = np.array([_phi(t) for t in spec.delta * np.sqrt(info) - e])
-    combined = float(per[0]) if summary.q == 1 else 1.0 - float(
-        mvn_upper_orthant(*orthant_inputs(
-            np.asarray(summary.Lambda_q)[..., None], spec.delta, e), seed)[0])
+    combined = float(per[0]) if summary.q == 1 else math.nan \
+        if summary.q > 4 else 1.0 - float(mvn_upper_orthant(*orthant_inputs(
+            np.asarray(summary.Lambda_q)[..., None], spec.delta, e))[0])
     achieved = per.min() if spec.power_type == "individual" else combined
     meets = bool(spec.beta >= 1.0 or achieved >= 1.0 - spec.beta)
     return PowerReport(

@@ -284,7 +284,6 @@ def evaluate_design(
     design: Design,
     vc: VarianceComponents,
     spec: PowerSpec | None = None,
-    seed: int = 0,
 ) -> dict:
     """Full report for one design: criteria values, cost and power."""
     summary = treatment_covariance(design, vc)
@@ -298,7 +297,7 @@ def evaluate_design(
         "Lambda_q": summary.Lambda_q,
     }
     if spec is not None:
-        out["power"] = power_report(summary, spec, seed)
+        out["power"] = power_report(summary, spec)
     return out
 
 
@@ -488,7 +487,7 @@ def _check_delta(spec: PowerSpec, D: int) -> None:
         )
 
 
-def _power_feasible(Lambda: list, spec: PowerSpec, seed: int) -> np.ndarray:
+def _power_feasible(Lambda: list, spec: PowerSpec) -> np.ndarray:
     """Mask of the candidates whose ``Lambda_q`` meets the power requirement.
 
     ``Lambda`` holds ``q x q`` entry vectors.  Individual power is a
@@ -511,22 +510,22 @@ def _power_feasible(Lambda: list, spec: PowerSpec, seed: int) -> np.ndarray:
     todo = np.nonzero(~feasible)[0]
     # An integral keeps up to 20 float vectors over its nodes live (34 kB at
     # q = 3): a slice takes a quarter of _BUDGET, below the freed raw sums.
-    width = max(_BUDGET // (4 * 8 * 20 * ORTHANT_NODES.get(q, q * q)), 1)
+    width = max(_BUDGET // (4 * 8 * 20 * ORTHANT_NODES[q]), 1)
     for at in (todo[i:i + width] for i in range(0, todo.size, width)):
         none_reject = mvn_upper_orthant(*orthant_inputs(
-            [[v[at] for v in row] for row in Lambda], spec.delta, e), seed)
+            [[v[at] for v in row] for row in Lambda], spec.delta, e))
         feasible[at] = 1.0 - none_reject >= 1.0 - spec.beta
     return feasible
 
 
-def _score(sums, T: int, m: int, vc, criterion, spec, seed: int):
+def _score(sums, T: int, m: int, vc, criterion, spec):
     """``(crit, feasible)`` of identifiable candidates from their sums.
 
     ``sums`` are the :func:`~swdesign.model.kernel_sums` of those
     candidates; ``feasible`` is :func:`_power_feasible`.
     """
     Lambda = covariance_kernel(sums, T, m, vc)
-    return criterion.batch(Lambda), _power_feasible(Lambda, spec, seed)
+    return criterion.batch(Lambda), _power_feasible(Lambda, spec)
 
 
 @dataclass(frozen=True)
@@ -594,9 +593,7 @@ def _scan_chunk(job: dict) -> list:
     def block(vc, m):
         if not rows_at.size:
             return Block(k)
-        crit, feasible = _score(
-            sums, T, m, vc, job["criterion"], job["spec"], job["seed"]
-        )
+        crit, feasible = _score(sums, T, m, vc, job["criterion"], job["spec"])
         cost = float(m * C * T)
 
         def leaders(vals):
@@ -636,18 +633,18 @@ def _better(a, b):
     return a if a.rows <= b.rows else b
 
 
-def _outcome(champion, vc, D: int, spec, seed: int, **fields) -> SearchResult:
+def _outcome(champion, vc, D: int, spec, **fields) -> SearchResult:
     """Result for a search's champion."""
     m, C, T = champion.block
     design = Design(m, C, T, np.array(champion.rows, dtype=int), D)
     power = None
     if spec.delta.size == D - 1:
-        power = power_report(treatment_covariance(design, vc), spec, seed)
+        power = power_report(treatment_covariance(design, vc), spec)
     return SearchResult(best=design, criterion_value=champion.crit,
                         cost=champion.cost, power=power, **fields)
 
 
-def _result(table: dict, vc, space, spec, objective, seed) -> SearchResult:
+def _result(table: dict, vc, space, spec, objective) -> SearchResult:
     """The winner of one ``vc``'s table of blocks.
 
     Each block's champion is its first feasible leader, the first candidate
@@ -687,7 +684,7 @@ def _result(table: dict, vc, space, spec, objective, seed) -> SearchResult:
         return SearchResult(None, nan, nan, nan, None, scaling, n_evaluated,
                             0, status)
     return _outcome(
-        champion, vc, space.D, spec, seed, status=status, scaling=scaling,
+        champion, vc, space.D, spec, status=status, scaling=scaling,
         objective_value=scaled_objective(champion), n_evaluated=n_evaluated,
         n_feasible=sum(b.n_feasible for b in blocks),
     )
@@ -700,7 +697,6 @@ def _search(
     objective: Objective,
     workers: int = 1,
     candidate_cap: int = 10**8,
-    seed: int = 0,
     progress=None,
 ) -> list[SearchResult]:
     """:func:`exhaustive_search` of ``space`` at every setting of ``vcs``.
@@ -712,13 +708,13 @@ def _search(
     """
     common = dict(
         D=space.D, vcs=vcs, equal_alloc=space.requires_equal_allocation(),
-        criterion=objective.criterion, spec=spec, seed=seed,
+        criterion=objective.criterion, spec=spec,
     )
     blocks = []
-    for (T, C), triples in itertools.groupby(space.blocks(), lambda b: b[:2]):
+    for T in space.T_set:
         seqs = enumerate_sequences(T, space.D, space.restrictions)
-        if seqs:
-            blocks.append((T, C, [m for _, _, m in triples], seqs))
+        blocks += [(T, C, space.M_sets[(C, T)], seqs)
+                   for C in sorted(space.C_sets[T]) if seqs]
     total = sum(comb(len(seqs) + C - 1, C) * len(ms)
                 for _, C, ms, seqs in blocks)
     # Checked before any prefix is walked: a space far above the cap has
@@ -769,7 +765,7 @@ def _search(
                 absorb(res)
 
     return [
-        _result(table, vc, space, spec, objective, seed)
+        _result(table, vc, space, spec, objective)
         for table, vc in zip(tables, vcs)
     ]
 
@@ -781,7 +777,6 @@ def exhaustive_search(
     objective: Objective,
     workers: int = 1,
     candidate_cap: int = 10**8,
-    seed: int = 0,
     progress=None,
 ) -> SearchResult:
     """Find the admissible design of a space by complete enumeration.
@@ -801,8 +796,6 @@ def exhaustive_search(
     candidate_cap : int
         Upper bound on the number of candidates; exceeding it raises
         :class:`CandidateCapExceeded` pointing to the stochastic search.
-    seed : int
-        Seed for power integrals.
     progress : callable, optional
         Invoked as ``progress(n_evaluated, best_criterion_so_far)`` after
         each chunk.
@@ -815,7 +808,7 @@ def exhaustive_search(
         optimum as a suggestion.
     """
     return _search(
-        space, [vc], spec, objective, workers, candidate_cap, seed, progress
+        space, [vc], spec, objective, workers, candidate_cap, progress
     )[0]
 
 
@@ -900,8 +893,7 @@ def cross_entropy_search(
             gathered += stats[:, idx[:, c]]
         ident, sums = kernel_sums(gathered, T, D - 1)
         del gathered
-        crit, feasible = _score(sums, T, m, vc, objective.criterion, spec,
-                                params.seed)
+        crit, feasible = _score(sums, T, m, vc, objective.criterion, spec)
         raw = np.full(params.population_size, np.inf)
         raw[ident] = crit
         if space.requires_equal_allocation():
@@ -941,7 +933,7 @@ def cross_entropy_search(
 
     champion = best if best is not None else best_unconstrained
     return _outcome(
-        champion, vc, D, spec, params.seed,
+        champion, vc, D, spec,
         status="ok" if best is not None else "no-admissible-design",
         objective_value=champion.crit, scaling={}, n_evaluated=n_evaluated,
         n_feasible=-1,
@@ -1001,7 +993,6 @@ def sensitivity_map(
     objective: Objective,
     spec: PowerSpec,
     workers: int = 1,
-    seed: int = 0,
     candidate_cap: int = 10**8,
 ) -> SensitivityResult:
     """Optimal design across a grid of cross-sectional variance settings.
@@ -1018,7 +1009,7 @@ def sensitivity_map(
     vcs = [VarianceComponents(sigma2_c=c, sigma2_eps=e)
            for c, e in itertools.product(xs, ys)]
     results = _search(space, vcs, spec, objective, workers=workers,
-                      candidate_cap=candidate_cap, seed=seed)
+                      candidate_cap=candidate_cap)
     ids = np.empty((xs.size, ys.size), dtype=object)
     crit = np.empty((xs.size, ys.size))
     designs: dict[str, Design] = {}
@@ -1046,7 +1037,6 @@ def variance_ratio_map(
     spec: PowerSpec,
     m: int | None = None,
     workers: int = 1,
-    seed: int = 0,
     *,
     sensitivity: SensitivityResult | None = None,
 ) -> np.ndarray:
@@ -1065,10 +1055,10 @@ def variance_ratio_map(
         if X.shape not in space.M_sets:
             raise ValueError(f"the design's (C, T) = {X.shape} is not in "
                              "the space, so its m must be given")
-        m = min(space.M_sets[X.shape])
+        m = space.M_sets[X.shape][0]
     fixed = Design(m, X.shape[0], X.shape[1], X, space.D)
     sens = sensitivity or sensitivity_map(
-        grid, space, objective, spec, workers=workers, seed=seed
+        grid, space, objective, spec, workers=workers
     )
     xs, ys = sens.sigma2_c_values, sens.sigma2_eps_values
 

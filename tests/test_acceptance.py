@@ -93,7 +93,7 @@ def test_reference_design_statistics():
     design = Design(8, 6, 6, REFERENCE_X, 3)
     vc = VarianceComponents.from_rho(1.0, 0.05)
     start = time.perf_counter()
-    stats = evaluate_design(design, vc, POWER_2, seed=0)
+    stats = evaluate_design(design, vc, POWER_2)
     elapsed = time.perf_counter() - start
     assert elapsed < 1.0
     assert stats["D"] == pytest.approx(3.090e-3, rel=5e-3)
@@ -423,7 +423,7 @@ def test_orthant_integral_matches_monte_carlo_oracle():
             hits += int((Z <= b).all(axis=1).sum())
         mc = hits / n_total
         se = np.sqrt(max(mc * (1 - mc), 1e-12) / n_total)
-        got = mvn_upper_orthant(b, np.zeros(q), corr, seed=9)
+        got = mvn_upper_orthant(b, np.zeros(q), corr)
         assert abs(got - mc) <= 3 * se + 5e-5
 
 
@@ -480,7 +480,8 @@ def test_combined_power_at_least_max_individual():
             alpha=0.05, correction="bonferroni", beta=0.2,
             delta=rng.uniform(0.2, 1.5, size=q),
         )
-        report = power_report(summary, spec, seed=int(rng.integers(1000)))
+        rng.integers(1000)  # a skipped draw keeps the same 20 problems
+        report = power_report(summary, spec)
         assert report.combined >= report.per_hypothesis.max() - 2e-5
 
 

@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -789,6 +790,78 @@ def test_four_arm_combined_power_is_seed_free_and_light(tmp_path):
     assert result[0] == result[1]
 
 
+#: The winner of a small five-arm combined-power search (m = 4).
+FIVE_ARM_X = [[0, 1, 3], [1, 3, 4], [2, 2, 2]]
+
+
+def test_five_arm_combined_power_is_seed_free_and_light(tmp_path):
+    # q = 4: the quadrivariate orthant needs no random numbers either, and
+    # the run directories of two seeds are the same but for meta.json.
+    design = tmp_path / "five.csv"
+    write_design_csv(np.array(FIVE_ARM_X), design)
+    cfg = reference_config(
+        tmp_path, space={"D": 5}, design={"m": 4},
+        power={"alpha": 0.05, "correction": "bonferroni", "beta": 0.1,
+               "delta": [1.2, 1.5, 1.5, 2.5], "power_type": "combined"},
+    )
+    combined = []
+    for seed in ("0", "7"):
+        out, modules = run_cold(
+            ["evaluate", "--config", cfg, "--design", str(design),
+             "--seed", seed, "--out", str(tmp_path / f"run{seed}")],
+            ("numpy.random", "numpy.polynomial", "scipy"),
+        )
+        assert modules == [[], []]
+        combined += [line for line in out
+                     if line.startswith("P(reject any H0)")]
+    assert combined == ["P(reject any H0)       0.9992"] * 2
+    for name in ("config.json", "result.json", "table.csv"):
+        assert (tmp_path / "run0" / name).read_bytes() == (
+            tmp_path / "run7" / name).read_bytes()
+    result = json.loads((tmp_path / "run0" / "result.json").read_text())
+    assert "seed" not in result
+    assert result["power"]["combined"] == pytest.approx(0.9992007005874347,
+                                                        abs=1e-12)
+
+
+@pytest.mark.parametrize("command", ["evaluate", "search", "ce-search"])
+def test_combined_power_of_five_effects_is_one_error(runner, tmp_path,
+                                                     command):
+    design = tmp_path / "six.csv"
+    write_design_csv(np.array([[0, 1, 2], [2, 3, 4], [3, 4, 5]]), design)
+    cfg = reference_config(
+        tmp_path, space={"D": 6, "T": 3, "C": 3, "m": 2},
+        power={"beta": 0.2, "delta": [1.0] * 5, "power_type": "combined"},
+    )
+    result = runner.invoke(main, [command, "--config", cfg, "--design",
+                                  str(design), "--out", str(tmp_path / "run")]
+                           if command == "evaluate" else
+                           [command, "--config", cfg,
+                            "--out", str(tmp_path / "run")])
+    assert_one_error(result, 1, "Error: power: combined power takes at "
+                     "most 4 effects, got 5")
+    assert not (tmp_path / "run").exists()
+
+
+def test_five_effects_write_no_combined_power(runner, tmp_path):
+    # Individual power of five effects: the combined power is not computed,
+    # and result.json writes it as null.
+    design = tmp_path / "six.csv"
+    write_design_csv(np.array([[0, 1, 2], [2, 3, 4], [3, 4, 5]]), design)
+    cfg = reference_config(
+        tmp_path, space={"D": 6}, design={"m": 4},
+        power={"beta": 0.2, "delta": [1.0] * 5},
+    )
+    out = tmp_path / "run"
+    result = runner.invoke(main, ["evaluate", "--config", cfg, "--design",
+                                  str(design), "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    assert "P(reject any H0)       nan" in result.output
+    power = json.loads((out / "result.json").read_text())["power"]
+    assert power["combined"] is None
+    assert len(power["per_hypothesis"]) == 5
+
+
 class TestEvaluate:
     def test_reference_report(self, runner, tmp_path, reference_csv):
         cfg = reference_config(tmp_path)
@@ -1277,6 +1350,27 @@ class TestSensitivity:
             )
             assert result.output.count("\n") == 1
             assert not out.exists()
+
+
+@pytest.mark.parametrize("command,text", [
+    ("search", "Error: space holds 12666644 candidates, above the cap"),
+    ("ce-search", "Error: ce-search requires a single (m, C, T)"),
+])
+def test_large_m_budget_is_never_listed(runner, tmp_path, command, text):
+    # A budget of 2,000,000 spans about a million values of m per T.
+    path = write_json(tmp_path / "budget.json", {
+        "schema_version": 1, "candidate_cap": 10**6,
+        "space": {"D": 2, "T": [2, 3], "C": [2], "restrictions": ["monotone"],
+                  "m": {"min": 2, "budget": 2 * 10**6}}})
+    tracemalloc.start()
+    try:
+        result = runner.invoke(main, [command, "--config", path,
+                                      "--out", str(tmp_path / "run")])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert_one_error(result, 1, text)
+    assert peak < 1 << 20
 
 
 class TestAnalytic:

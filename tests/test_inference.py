@@ -1,7 +1,7 @@
 """Inference tests: critical values, power, and the orthant integral."""
 
 import math
-import tracemalloc
+import warnings
 from statistics import NormalDist
 
 import numpy as np
@@ -20,16 +20,11 @@ from swdesign import (
     power_report,
     treatment_covariance,
 )
-from swdesign import search
 from swdesign.inference import (
-    _MVN_POINTS,
-    _MVN_REPLICATES,
     _bvn_upper,
     _gauss_legendre,
-    _lattice_orthant,
     _ndtr,
     _ndtri,
-    _phi,
     _tvn_upper,
     variance_limits,
 )
@@ -122,6 +117,12 @@ class TestPowerSpec:
     def test_malformed_delta_rejected(self, delta):
         with pytest.raises(ValueError, match="delta"):
             PowerSpec(alpha=0.05, delta=delta)
+
+    def test_combined_power_takes_at_most_four_effects(self):
+        PowerSpec(alpha=0.05, delta=[1.0] * 4, power_type="combined")
+        PowerSpec(alpha=0.05, delta=[1.0] * 5)
+        with pytest.raises(ValueError, match="at most 4 effects, got 5"):
+            PowerSpec(alpha=0.05, delta=[1.0] * 5, power_type="combined")
 
 
 # ---------------------------------------------------------------------------
@@ -224,7 +225,7 @@ class TestOrthant:
 
     def test_independent_case_factorizes(self):
         b = np.array([0.5, -0.3, 1.2])
-        got = mvn_upper_orthant(b, np.zeros(3), np.eye(3), seed=7)
+        got = mvn_upper_orthant(b, np.zeros(3), np.eye(3))
         assert got == pytest.approx(np.prod(norm.cdf(b)), abs=2e-5)
 
     def test_matches_library_integrator(self):
@@ -236,7 +237,7 @@ class TestOrthant:
             want = multivariate_normal.cdf(
                 b, mean=np.zeros(q), cov=corr, allow_singular=False
             )
-            got = mvn_upper_orthant(b, np.zeros(q), corr, seed=3)
+            got = mvn_upper_orthant(b, np.zeros(q), corr)
             assert got == pytest.approx(want, abs=5e-5)
 
     def test_bivariate_matches_library_cdf(self):
@@ -260,23 +261,10 @@ class TestOrthant:
             max(0.0, norm.cdf(h) - norm.cdf(-k)), abs=1e-15
         )
 
-    def test_bivariate_ignores_seed(self):
-        corr = np.array([[1.0, -0.6], [-0.6, 1.0]])
-        values = {
-            mvn_upper_orthant([0.2, 1.1], [0.1, -0.3], corr, seed=s)
-            for s in range(5)
-        }
-        assert len(values) == 1
-
-    def test_deterministic_given_seed(self):
-        corr = np.array([[1.0, 0.4], [0.4, 1.0]])
-        a = mvn_upper_orthant([0.3, 0.7], [0.0, 0.0], corr, seed=11)
-        b = mvn_upper_orthant([0.3, 0.7], [0.0, 0.0], corr, seed=11)
-        assert a == b
-
-    def test_dimension_capped(self):
-        with pytest.raises(ValueError):
-            mvn_upper_orthant(np.zeros(11), np.zeros(11), np.eye(11))
+    @pytest.mark.parametrize("q", [5, 11])
+    def test_dimension_capped(self, q):
+        with pytest.raises(ValueError, match=r"dimension q must lie in 1\.\.4"):
+            mvn_upper_orthant(np.zeros(q), np.zeros(q), np.eye(q))
 
     def test_no_dimension_rejected(self):
         with pytest.raises(ValueError, match="dimension q"):
@@ -330,66 +318,6 @@ class TestOrthant:
         corr = np.eye(q)
         corr[0, 1] = corr[1, 0] = -(1.0 + 5e-11)
         assert 0.0 <= mvn_upper_orthant(np.zeros(q), np.zeros(q), corr) <= 1
-
-
-def _lattice_all_at_once(b, corr, vals, seed):
-    """The ``q >= 4`` lattice integral with every replicate's points live."""
-    q = b.size
-    order = np.argsort(b)
-    b = b[order]
-    corr = corr[np.ix_(order, order)]
-    try:
-        L = np.linalg.cholesky(corr)
-    except np.linalg.LinAlgError:
-        jitter = max(1e-12, -vals[0] * 2 + 1e-12)
-        L = np.linalg.cholesky(corr + jitter * np.eye(q))
-    d = q - 1
-    z = np.sqrt(np.array((2, 3, 5, 7, 11, 13, 17, 19, 23)[:d])) % 1.0
-    base = np.outer(np.arange(1, _MVN_POINTS + 1), z) % 1.0
-    shifts = np.random.default_rng(seed).random((_MVN_REPLICATES, 1, d))
-    w = np.abs(2.0 * ((base + shifts) % 1.0) - 1.0).reshape(-1, d)
-    n = w.shape[0]
-    cond = np.full(n, _phi(b[0] / L[0, 0]))
-    prob = cond.copy()
-    y = np.empty((n, d))
-    for i in range(1, q):
-        y[:, i - 1] = _ndtri(np.clip(w[:, i - 1] * cond, 1e-15, 1 - 1e-15))
-        cond = _ndtr((b[i] - y[:, :i] @ L[i, :i]) / L[i, i])
-        prob *= cond
-    return float(prob.mean())
-
-
-class TestLattice:
-    @pytest.mark.parametrize("q", [4, 6])
-    def test_peak_within_the_scan_budget(self, q):
-        # One replicate of points at a time: about 1.5 MiB at q = 4 and
-        # 1.8 MiB at q = 6, against 10.3 and 12.4 MiB with all eight.
-        corr = _random_correlation(np.random.default_rng(q), q)
-        args = (np.full(q, 1.0), np.zeros(q), corr)
-        mvn_upper_orthant(*args)
-        tracemalloc.start()
-        try:
-            mvn_upper_orthant(*args)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= search._BUDGET
-
-    def test_equals_the_all_at_once_integral(self):
-        # The replicate sums are added where numpy's pairwise sum of all
-        # the points splits them, so the value keeps every bit.
-        rng = np.random.default_rng(11)
-        for _ in range(24):
-            q = int(rng.integers(4, 8))
-            A = rng.standard_normal((q, q - 1 + int(rng.integers(0, 3))))
-            S = A @ A.T + rng.uniform(0.0, 0.3) * np.eye(q)
-            sd = np.sqrt(np.diag(S))
-            corr = S / np.outer(sd, sd)
-            b = rng.normal(0.0, 1.5, q)
-            vals = np.linalg.eigvalsh(corr)
-            seed = int(rng.integers(0, 2**31))
-            assert _lattice_orthant(b, corr, vals, seed) == (
-                _lattice_all_at_once(b, corr, vals, seed))
 
 
 def test_gauss_legendre_table_is_leggauss():
@@ -573,14 +501,96 @@ class TestTrivariate:
                 [-h[i], -h[j]], cov=[[1.0, r[pair]], [r[pair], 1.0]])
             assert abs(_tvn_upper(h.tolist(), r) - want) <= 1e-12, (h, r)
 
-    def test_orthant_ignores_seed(self):
-        corr = _corr3([0.45, -0.2, 0.6])
-        values = {
-            mvn_upper_orthant([0.2, 1.1, -0.4], [0.1, -0.3, 0.2], corr,
-                              seed=s)
-            for s in range(5)
-        }
-        assert len(values) == 1
+
+# ---------------------------------------------------------------------------
+# The quadrivariate orthant
+# ---------------------------------------------------------------------------
+
+
+def _random_corr4(rng, kind):
+    """One random 4 x 4 correlation matrix of a kind.
+
+    ``regular`` has smallest eigenvalue above about 0.05, ``near`` one
+    between about 1e-6 and 1e-2, ``rank3`` rank three, and ``unit`` one pair
+    with correlation exactly +-1 at a random position.
+    """
+    if kind == "regular":
+        A = rng.standard_normal((4, 6))
+        S = A @ A.T + 0.1 * np.eye(4)
+    elif kind == "near":
+        A = rng.standard_normal((4, 3))
+        S = A @ A.T + 10.0 ** rng.uniform(-5, -2.5) * np.eye(4)
+    elif kind == "rank3":
+        A = rng.standard_normal((4, 3))
+        S = A @ A.T
+    else:
+        # X4 = +-X1 after a correlation matrix of three.
+        C = np.ones((4, 4))
+        C[:3, :3] = _random_corr4(rng, "regular")[:3, :3]
+        C[3, :3] = C[:3, 3] = rng.choice([-1.0, 1.0]) * C[0, :3]
+        p = rng.permutation(4)
+        return C[np.ix_(p, p)]
+    d = np.sqrt(np.diag(S))
+    C = S / np.outer(d, d)
+    np.fill_diagonal(C, 1.0)
+    return C
+
+
+def _quad_reference4(h, R):
+    """``P(X > h)`` by adaptive quadrature over one variable.
+
+    Conditioning on ``X_c = x``, for the variable ``c`` least correlated
+    with the others, leaves a trivariate normal whose orthant
+    :func:`_tvn_upper` gives (checked against its own quad oracles above).
+    """
+    c = int(np.abs(R - np.eye(4)).max(axis=1).argmin())
+    rest = [a for a in range(4) if a != c]
+    rc = R[rest, c]
+    S = R[np.ix_(rest, rest)] - np.outer(rc, rc)
+    sd = np.sqrt(np.diag(S))
+    r = np.clip([S[i, j] / (sd[i] * sd[j]) for i, j in PAIRS], -1.0, 1.0)
+
+    def f(x):
+        return norm.pdf(x) * float(_tvn_upper(
+            [(h[a] - rc[i] * x) / sd[i] for i, a in enumerate(rest)], r))
+
+    return quad(f, h[c], max(h[c], 0.0) + 12.0, epsabs=1e-14,
+                epsrel=1e-13, limit=500)[0]
+
+
+class TestQuadrivariate:
+    def test_stack_matches_the_conditioning_integral(self):
+        # 15 problems of each kind in one stack, and none warns.
+        rng = np.random.default_rng(4)
+        kinds = ("regular", "near", "rank3", "unit")
+        corr = np.stack([_random_corr4(rng, kind) for kind in kinds
+                         for _ in range(15)], axis=-1)
+        lows = np.linalg.eigvalsh(np.moveaxis(corr, -1, 0))[:, 0]
+        assert lows[:15].min() > 0.02 and lows[15:30].max() <= 1e-2
+        assert np.abs(lows[30:45]).max() < 1e-12
+        assert (np.abs(corr[:, :, 45:]) == 1.0).sum(axis=(0, 1)).min() == 6
+        limits = rng.uniform(-1.5, 2.0, size=(4, 60))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            got = mvn_upper_orthant(limits, np.zeros((4, 60)), corr)
+        for j in range(60):
+            want = _quad_reference4(-limits[:, j], corr[:, :, j])
+            assert abs(got[j] - want) <= 1e-10, (limits[:, j], corr[:, :, j])
+
+    def test_independent_pairs_factorize(self):
+        # Two independent bivariate pairs, whichever variable moves last.
+        rng = np.random.default_rng(8)
+        for _ in range(20):
+            r1, r2 = rng.uniform(-0.99, 0.99, size=2)
+            corr = np.eye(4)
+            corr[0, 1] = corr[1, 0] = r1
+            corr[2, 3] = corr[3, 2] = r2
+            p = rng.permutation(4)
+            b = rng.uniform(-2.0, 2.0, size=4)
+            want = (multivariate_normal.cdf(b[:2], cov=corr[:2, :2])
+                    * multivariate_normal.cdf(b[2:], cov=corr[2:, 2:]))
+            got = mvn_upper_orthant(b[p], np.zeros(4), corr[np.ix_(p, p)])
+            assert abs(got - want) <= 1e-12, (b, r1, r2)
 
 
 # ---------------------------------------------------------------------------
@@ -652,11 +662,10 @@ class TestBatches:
                         axis=-1)
         limits = rng.uniform(-1.0, 2.0, size=(q, k))
         mean = rng.uniform(-0.5, 0.5, size=(q, k))
-        got = mvn_upper_orthant(limits, mean, corr, seed=3)
+        got = mvn_upper_orthant(limits, mean, corr)
         assert got.shape == (k,)
         for j in range(k):
-            one = mvn_upper_orthant(limits[:, j], mean[:, j], corr[:, :, j],
-                                    seed=3)
+            one = mvn_upper_orthant(limits[:, j], mean[:, j], corr[:, :, j])
             assert isinstance(one, float)
             assert abs(got[j] - one) <= 1e-15
 
@@ -691,7 +700,7 @@ class TestPowerReport:
             delta=[1.5, 0.75],
         )
         summary = treatment_covariance(reference_design, reference_vc)
-        report = power_report(summary, spec, seed=0)
+        report = power_report(summary, spec)
         assert report.critical_value == pytest.approx(norm.isf(0.025))
         assert report.individual == report.per_hypothesis.min()
         assert report.meets_requirement == (
@@ -710,7 +719,7 @@ class TestPowerReport:
             alpha=0.05, correction="bonferroni", beta=0.2,
             delta=rng.uniform(0.2, 1.5, size=q),
         )
-        report = power_report(_summary_from_lambda(Lambda_q), spec, seed=1)
+        report = power_report(_summary_from_lambda(Lambda_q), spec)
         assert report.combined >= report.per_hypothesis.max() - 2e-5
 
     def test_combined_requirement_uses_combined(self):
@@ -731,6 +740,12 @@ class TestPowerReport:
         Lambda_q = np.array([[4.0, 0.0], [0.0, 4.0]])
         spec = PowerSpec(alpha=0.05, beta=1.0, delta=[0.1, 0.1])
         assert power_report(_summary_from_lambda(Lambda_q), spec).meets_requirement
+
+    def test_five_effects_have_no_combined_power(self):
+        spec = PowerSpec(alpha=0.05, beta=0.2, delta=[1.0] * 5)
+        report = power_report(_summary_from_lambda(0.1 * np.eye(5)), spec)
+        assert math.isnan(report.combined)
+        assert report.meets_requirement == (report.individual >= 0.8)
 
     def test_delta_length_mismatch(self):
         spec = PowerSpec(alpha=0.05, delta=[1.0])

@@ -507,6 +507,25 @@ class TestExhaustiveSearch:
             )
         assert walked == []
 
+    def test_candidate_cap_counts_a_budget_without_listing_its_m(self):
+        # A budget of 2,000,000 spans 999,999 values of m at T = 2 and
+        # 666,665 at T = 3: they stay ranges, and the cap is checked on
+        # their lengths.
+        total = comb(4, 2) * 999_999 + comb(5, 2) * 666_665
+        tracemalloc.start()
+        try:
+            space = DesignSpace.budgeted([2, 3], [2], 2, 2 * 10**6, 2,
+                                         (MonotoneNondecreasing(),))
+            with pytest.raises(CandidateCapExceeded,
+                               match=f"space holds {total} candidates"):
+                exhaustive_search(space, VC, NO_POWER,
+                                  Objective(w=0.0, criterion=Eoptimal()),
+                                  candidate_cap=10**6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
     def test_progress_callback(self):
         calls = []
         space = small_space()
@@ -630,7 +649,7 @@ class TestExhaustiveSearch:
             k = raw.shape[1]
             return np.ones(k, dtype=bool), (np.zeros((q, q, k)),) * 2
 
-        def fake_score(sums, T, m, vc, criterion, spec, seed):
+        def fake_score(sums, T, m, vc, criterion, spec):
             k = sums[0].shape[2]
             crit = values[len(seen): len(seen) + k]
             seen.extend(crit)
@@ -905,7 +924,10 @@ class TestChunkStream:
         (DesignSpace.single(4, 4, 2, 4,
                             (MonotoneNondecreasing(), Identifiable())),
          [3.0, 1.5, 1.5], 29),
-    ], ids=["q2", "q3"])
+        (DesignSpace.single(3, 3, 4, 5,
+                            (MonotoneNondecreasing(), Identifiable())),
+         [2.5, 2.5, 2.0, 1.0], 1),
+    ], ids=["q2", "q3", "q4"])
     def test_combined_search_peak_stays_within_the_budget(
         self, monkeypatch, space, delta, width
     ):
@@ -948,6 +970,25 @@ class TestChunkStream:
         assert (res.best.m, res.best.C, res.best.T) == (3, 3, 4)
         assert res.best.sequences() == ((0, 0, 0, 1), (1, 1, 2, 2),
                                         (2, 3, 3, 3))
+
+    def test_small_four_effect_combined_search(self):
+        # Five arms: 820 of the 1,510 identifiable candidates miss every
+        # individual limit and take the quadrivariate integral, and 19 of
+        # them fail it; the count and the winner are pinned.
+        space = DesignSpace.single(3, 3, 4, 5,
+                                   (MonotoneNondecreasing(), Identifiable()))
+        spec = PowerSpec(alpha=0.05, correction="bonferroni", beta=0.1,
+                         delta=[1.2, 1.5, 1.5, 2.5], power_type="combined")
+        res = exhaustive_search(space, VC, spec,
+                                Objective(w=0.0, criterion=Eoptimal()))
+        assert (res.status, res.n_evaluated, res.n_feasible) == ("ok", 7770,
+                                                                 1491)
+        assert res.criterion_value == pytest.approx(0.44636986301369863,
+                                                    rel=1e-9)
+        assert (res.best.m, res.best.C, res.best.T) == (4, 3, 3)
+        assert res.best.sequences() == ((0, 1, 3), (1, 3, 4), (2, 2, 2))
+        assert res.power.combined == pytest.approx(0.9992007005874347,
+                                                   abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -1246,7 +1287,7 @@ class TestCrossEntropy:
 # ---------------------------------------------------------------------------
 
 
-def stack_score(sums, T, m, vc, criterion, spec, seed):
+def stack_score(sums, T, m, vc, criterion, spec):
     """``(crit, feasible)`` through a ``k x q x q`` ``Lambda_q`` stack.
 
     The reference for the entry-vector scoring: the stack is filled from
@@ -1295,7 +1336,7 @@ def stack_score(sums, T, m, vc, criterion, spec, seed):
         corr = Lambda[i] / np.outer(sd, sd)
         np.fill_diagonal(corr, 1.0)
         none_reject = search.mvn_upper_orthant(
-            np.full(q, e), spec.delta / sd, corr, seed
+            np.full(q, e), spec.delta / sd, corr
         )
         feasible[i] = 1.0 - none_reject >= 1.0 - spec.beta
     return crit, feasible
@@ -1328,8 +1369,8 @@ class TestEntryVectorScoring:
         q = D - 1
         if power == "combined":
             # Every candidate below all limits takes one orthant integral,
-            # and at q = 4 one takes tens of milliseconds: score a spread.
-            step = -(-P.shape[2] // (150 if q < 4 else 20))
+            # one call per candidate in the reference: score a spread.
+            step = -(-P.shape[2] // 150)
             P, Q = P[:, :, ::step], Q[:, :, ::step]
         spec = NO_POWER
         if power != "none":
@@ -1350,7 +1391,7 @@ class TestEntryVectorScoring:
                 assert (var > delta**2 * unit).all(axis=1).any()
         for name in "DAE":
             crit, feasible = assert_scores_like_the_stack(
-                (P, Q), T, m, VC, criterion_from_name(name), spec, 0
+                (P, Q), T, m, VC, criterion_from_name(name), spec
             )
             assert crit.shape == feasible.shape == (P.shape[2],)
             if power == "individual":
