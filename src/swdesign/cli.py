@@ -156,8 +156,8 @@ def _required(block: dict, key, path: str = ""):
 def _number(value, path: str) -> None:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise click.ClickException(f"{path} must be a number, got {value!r}")
-    if not math.isfinite(value):
-        # JSON parsing accepts NaN and Infinity.
+    if not abs(value) <= sys.float_info.max:
+        # JSON parsing accepts NaN, Infinity and integers beyond any float.
         raise click.ClickException(
             f"{path} must be a finite number, got {value!r}"
         )
@@ -320,7 +320,7 @@ def load_config(path) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             cfg = json.load(fh)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # also bad UTF-8 and too many integer digits
         raise click.ClickException(f"{path}: invalid JSON: {exc}") from None
     if not isinstance(cfg, dict):
         raise click.ClickException(f"{path}: the config must be a JSON object")
@@ -405,14 +405,22 @@ def _build_space(cfg: dict) -> DesignSpace:
     C = ({int(t): _tuple(Cs) for t, Cs in C.items()} if isinstance(C, dict)
          else _tuple(C))
     try:
-        if isinstance(m, dict):
-            return DesignSpace.budgeted(
-                T, C, m.get("min", 2), _required(m, "budget", "space.m"), D,
-                restrictions,
-            )
-        return DesignSpace.grid(T, C, _tuple(m), D, restrictions)
+        space = DesignSpace.budgeted(
+            T, C, m.get("min", 2), _required(m, "budget", "space.m"), D,
+            restrictions,
+        ) if isinstance(m, dict) else DesignSpace.grid(
+            T, C, _tuple(m), D, restrictions)
     except ValueError as exc:
         raise click.ClickException(f"space: {exc}") from None
+    # A whitelist entry no candidate can use would silently admit nothing.
+    for i, restriction in enumerate(space.restrictions):
+        for j, seq in enumerate(getattr(restriction, "allowed", ())):
+            if len(seq) not in T or not all(0 <= x < D for x in seq):
+                raise click.ClickException(
+                    f"space.restrictions[{i}].allowed_sequences[{j}] = "
+                    f"{list(seq)} is not a sequence of arms 0..{D - 1} "
+                    "whose length is in space.T")
+    return space
 
 
 def _build_power(block: dict, q: int) -> PowerSpec:

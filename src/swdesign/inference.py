@@ -8,16 +8,16 @@ is the smallest per-hypothesis rejection probability at the clinically
 relevant differences ``delta``; combined power is the probability of
 rejecting at least one hypothesis, one minus a multivariate normal orthant
 probability.  It is deterministic for ``q <= 4`` and accurate to about
-1e-12: for ``q = 2`` the Drezner & Wesolowsky (1990) bivariate normal as
-refined by Genz (2004), for ``q = 3`` Genz's (2004) trivariate method, a
-fixed quadrature of Plackett's (1954) identity over the bivariate normal,
-and for ``q = 4`` the same identity over the trivariate and bivariate
-ones.  All run over arrays, on a stack of problems at once, and a search
-integrates its candidates in slices of a stack.  Combined power for
-``q >= 5`` is not supported.  Only ``math`` and numpy are used, not
-the standard library's ``statistics``: the normal distribution function of
-arrays is Cody's (1969) rational ``erfc``, and the normal quantile is
-Wichura's (1988) AS241.
+1e-12.  ``q = 2`` is the Drezner & Wesolowsky (1990) bivariate normal as
+refined by Genz (2004).  Above that one recursion applies Plackett's
+(1954) identity, the reduction Genz (2004) uses at ``q = 3``: a fixed
+quadrature of bivariate densities times the orthant of the other ``q - 2``
+variables given two.  All of it runs over arrays, on a stack of problems
+at once, and a search integrates its candidates in slices of a stack.
+Combined power for ``q >= 5`` is not supported.  Only ``math`` and numpy
+are used, not the standard library's ``statistics``: the normal
+distribution function of arrays is Cody's (1969) rational ``erfc``, and
+the normal quantile is Wichura's (1988) AS241.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ __all__ = [
     "power_report",
 ]
 
-#: Panels of the composite rule for the trivariate orthant (``q = 3``).
+#: Panels of the composite rule of Plackett's identity (``q >= 3``).
 _TVN_PANELS = 11
 
 _SQRT2 = math.sqrt(2.0)
@@ -417,7 +417,7 @@ def _bvn_upper(h, k, r):
 
 @lru_cache(maxsize=1)
 def _tvn_nodes():
-    """Composite Gauss-Legendre rule on (0, 1) for :func:`_tvn_upper`.
+    """Composite Gauss-Legendre rule on (0, 1) for :func:`_orthant`.
 
     The panels end at ``1 - 8^-j`` for ``j = 0 .. _TVN_PANELS - 1`` and at 1.
     For a singular correlation matrix the conditional variances vanish at
@@ -430,100 +430,59 @@ def _tvn_nodes():
     return (edges[:-1, None] + half * x).ravel(), (half * w).ravel()
 
 
-def _tvn_upper(h, r):
-    """``P(X > h)`` for standard trivariate normals with correlations ``r``.
+def _orthant(h, r):
+    """``P(X > h)`` for standard ``q``-variate normals with correlations ``r``.
 
-    ``h`` and ``r = (r12, r13, r23)``, in [-1, 1], have a leading axis of
-    three; each trailing index is one problem.  Genz's (2004) method: the
-    variables are reordered so that ``|r23|`` is the largest correlation,
-    and Plackett's (1954) identity integrates the derivative along
-    ``r12(t) = t r12``, ``r13(t) = t r13`` from ``Phi(-h1) P(X2 > h2,
-    X3 > h3)`` at ``t = 0``::
+    ``h`` is ``q x k`` and ``r``, in [-1, 1], is ``q x q x k``, with ``q``
+    at most 4; each trailing index is one problem.  ``q = 1`` is
+    ``Phi(-h1)`` and ``q = 2`` :func:`_bvn_upper`.  Above that the variable
+    least correlated with the others moves last, and Plackett's (1954)
+    identity integrates the derivative along ``riq(t) = t riq`` from
+    ``Phi(-hq) P(Xi > hi, i < q)`` at ``t = 0``, the path Genz (2004)
+    takes at ``q = 3``::
 
-        dP/dt = r12 phi2(h1, h2; r12(t)) P(X3 > h3 | X1 = h1, X2 = h2)
-              + r13 phi2(h1, h3; r13(t)) P(X2 > h2 | X1 = h1, X3 = h3)
+        dP/dt = sum_i riq phi2(hi, hq; riq(t))
+                      P(Xj > hj for j != i, q | Xi = hi, Xq = hq)
 
-    on the fixed rule of :func:`_tvn_nodes`.  Both conditional variances
-    are ``det R(t) / (1 - r1j(t)^2)``; where ``det R(t)`` reaches zero the
-    conditional probability is a step.  ``|r23| = 1`` reduces to bivariate
-    probabilities.  Accurate to about 1e-12 absolute.
-    """
-    h, r = np.asarray(h, dtype=float), np.asarray(r, dtype=float)
-    a = np.abs(r)
-    # Keep the order, swap the first two variables, or rotate them.
-    case = np.where(a[0] > np.maximum(a[1], a[2]), 2, a[1] > a[2])
-    h1, h2, h3 = np.choose(case, (h, h[[1, 0, 2]], h[[2, 0, 1]]))
-    r12, r13, r23 = np.choose(case, (r, r[[0, 2, 1]], r[[1, 2, 0]]))
-    # The bivariate probabilities at t = 0 and where X3 is X2 or -X2.
-    at0, one, upper, lower = _bvn_upper([h2, h1, h1, h1], [
-        h3, np.maximum(h2, h3), h2, -h3], [r23, r12, r12, r12])
-    singular = np.where(r23 > 0, one, upper - lower)  # clipped below
-    t, w = _tvn_nodes()
-    det = (1.0 - r23 * r23)[..., None] - t * t * (
-        r12 * r12 + r13 * r13 - 2.0 * r12 * r13 * r23)[..., None]
-    h1, h2, h3, r12, r13, r23 = (v[..., None]
-                                 for v in (h1, h2, h3, r12, r13, r23))
-    dp = 0.0
-    # The r12 term, then the r13 term, each with its own temporaries.
-    for rj, rk, hj, hk in ((r12, r13, h2, h3), (r13, r12, h3, h2)):
-        sj, sk = t * rj, t * rk
-        cj = 1.0 - sj * sj
-        # The conditional upper-tail limit's numerator, times 1 - r1j(t)^2.
-        num = (sk - sj * r23) * h1 + (r23 - sj * sk) * hj - cj * hk
-        dp += rj * np.exp((sj * h1 * hj - (h1 * h1 + hj * hj) / 2.0) / cj) \
-            * _ndtr(num / np.sqrt(np.maximum(det * cj, 1e-300))) / np.sqrt(cj)
-    tvn = _ndtr(-h1[..., 0]) * at0 + dp @ w / _TWO_PI
-    return np.clip(np.where(np.abs(r23[..., 0]) == 1.0, singular, tvn),
-                   0.0, 1.0)
-
-
-def _qvn_upper(h, r):
-    """``P(X > h)`` for standard quadrivariate normals with correlations ``r``.
-
-    ``h`` is ``4 x k`` and ``r`` is ``4 x 4 x k``, in [-1, 1]; each trailing
-    index is one problem.  The variable least correlated with the others
-    moves to the fourth place, and Plackett's (1954) identity integrates
-    the derivative along ``ri4(t) = t ri4`` from ``Phi(-h4) P(X1 > h1,
-    X2 > h2, X3 > h3)`` at ``t = 0``, as :func:`_tvn_upper` does one
-    dimension down::
-
-        dP/dt = sum_i ri4 phi2(hi, h4; ri4(t))
-                      P(Xj > hj, Xl > hl | Xi = hi, X4 = h4)
-
-    on the fixed rule of :func:`_tvn_nodes`.  Times ``1 - ri4(t)^2`` the
-    conditional variances of ``Xj`` and ``Xl`` are ``3 x 3`` minors of
-    ``R(t)`` and their covariance is a cofactor.  Where a variance reaches
+    on the fixed rule of :func:`_tvn_nodes`, each conditional orthant by
+    recursion.  With ``s = t r.q``, ``ci = 1 - si^2`` and ``uj = rji - sj
+    si``, ``ci`` times the conditional covariance of ``Xj`` and ``Xl`` is
+    ``ci (rjl - sj sl) - uj ul``.  Where a conditional variance reaches
     zero its variable is a step: its standardised limit is cut to +-40,
-    beyond which ``Phi`` is 0 or 1.
-    Accurate to about 1e-12 absolute.
+    beyond which ``Phi`` is 0 or 1.  Accurate to about 1e-12 absolute.
     """
-    h, r = np.asarray(h, dtype=float), np.asarray(r, dtype=float)
+    q = len(h)
+    if q == 1:
+        return _ndtr(-h[0])
+    if q == 2:
+        return _bvn_upper(h[0], h[1], r[0, 1])
     off = np.abs(r)
-    off[range(4), range(4)] = 0.0
+    off[range(q), range(q)] = 0.0
     order = np.argsort(-off.max(axis=1), axis=0, kind="stable")
     h = np.take_along_axis(h, order, axis=0)
     r = r[order[:, None], order, np.arange(h.shape[1])]
-    at0 = _ndtr(-h[3]) * _tvn_upper(h[:3], r[[0, 0, 1], [1, 2, 2]])
+    at0 = _ndtr(-h[-1]) * _orthant(h[:-1], r[:-1, :-1])
     t, w = _tvn_nodes()
     h, r = h[..., None], r[..., None]
-    h4, s = h[3], t * r[:3, 3]
+    hq, s = h[-1], t * r[:-1, -1]
+    # Row i of j: the variables other than i and q, gathered once.
+    j = np.array([[x for x in range(q - 1) if x != i] for i in range(q - 1)])
     dp = 0.0
     # One term per conditioning variable i, each with its own temporaries.
-    for i, j, l in ((0, 1, 2), (1, 0, 2), (2, 0, 1)):
-        ci = 1.0 - s[i] * s[i]
-        rij, ril = r[i, j], r[i, l]
-        vj = ci - rij * rij - s[j] * s[j] + 2.0 * s[i] * rij * s[j]
-        vl = ci - ril * ril - s[l] * s[l] + 2.0 * s[i] * ril * s[l]
-        cov = r[j, l] * ci - rij * ril - s[j] * s[l] + s[i] * (
-            rij * s[l] + s[j] * ril)
-        lim = [np.clip((ci * h[x] - (rix - s[x] * s[i]) * h[i]
-                        - (s[x] - rix * s[i]) * h4)
-                       / np.sqrt(np.maximum(ci * vx, 1e-300)), -40.0, 40.0)
-               for x, rix, vx in ((j, rij, vj), (l, ril, vl))]
-        rho = np.clip(cov / np.sqrt(np.maximum(vj * vl, 1e-300)), -1.0, 1.0)
-        dp += r[i, 3] * np.exp(
-            (s[i] * h[i] * h4 - (h[i] * h[i] + h4 * h4) / 2.0) / ci
-        ) / np.sqrt(ci) * _bvn_upper(*lim, rho)
+    for i, (hj, rj, sj, rjj) in enumerate(zip(
+            h[j], r[j, np.arange(q - 1)[:, None]], s[j],
+            r[j[..., None], j[:, None]] if q > 3 else [None] * (q - 1))):
+        si, ci = s[i], 1.0 - s[i] * s[i]
+        u = rj - sj * si
+        v = ci * (1.0 - sj * sj) - u * u
+        lim = np.clip((ci * hj - u * h[i] - (sj - rj * si) * hq)
+                      / np.sqrt(np.maximum(ci * v, 1e-300)), -40.0, 40.0)
+        rho = None if rjj is None else np.clip(
+            (ci * (rjj - sj[:, None] * sj) - u[:, None] * u)
+            / np.sqrt(np.maximum(v[:, None] * v, 1e-300)), -1.0, 1.0)
+        dp += r[i, -1] * np.exp(
+            (si * h[i] * hq - (h[i] * h[i] + hq * hq) / 2.0) / ci
+        ) / np.sqrt(ci) * _orthant(lim, rho)
     return np.clip(at0 + dp @ w / _TWO_PI, 0.0, 1.0)
 
 
@@ -532,10 +491,11 @@ def mvn_upper_orthant(limits, mean, corr):
 
     One problem, with length-``q`` ``limits`` and ``mean`` and a ``q x q``
     ``corr``, gives a float; a stack of ``k`` on a trailing axis of each
-    gives ``k`` values.  ``q`` from 1 to 4 is supported, and a stack is
-    integrated at once on arrays of ``k`` times :data:`ORTHANT_NODES`
-    entries, so callers slice large stacks.  Deterministic and accurate to
-    about 1e-12.
+    gives ``k`` values.  ``q`` from 1 to 4 is supported, each by the one
+    recursion of :func:`_orthant`: a normal cdf, the bivariate normal, and
+    Plackett's identity over one dimension less.  A stack is integrated at
+    once on arrays of ``k`` times :data:`ORTHANT_NODES` entries, so callers
+    slice large stacks.  Deterministic and accurate to about 1e-12.
     """
     b, corr = np.subtract(limits, mean, dtype=float), np.asarray(corr, float)
     single = b.ndim < 2
@@ -547,16 +507,7 @@ def mvn_upper_orthant(limits, mean, corr):
     if not np.isfinite(b).all():
         raise ValueError("limits and mean must be finite")
     _check_corr(corr, b.shape)
-    r = np.clip(corr, -1.0, 1.0)
-    if q == 1:
-        value = _ndtr(b[0])
-    elif q == 2:
-        value = _bvn_upper(-b[0], -b[1], r[0, 1])
-    elif q == 3:
-        value = _tvn_upper(-b, r[[0, 0, 1], [1, 2, 2]])
-    else:
-        value = _qvn_upper(-b, r)
-    value = np.clip(value, 0.0, 1.0)
+    value = _orthant(-b, np.clip(corr, -1.0, 1.0))
     return float(value[0]) if single else value
 
 

@@ -269,6 +269,9 @@ class CEParams:
             raise ValueError("elite_fraction must lie in (0, 1)")
         if not 0 < self.smoothing <= 1:
             raise ValueError("smoothing must lie in (0, 1]")
+        for name in ("max_iterations", "stall_limit"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
 
 
 def criterion_value(summary: CovarianceSummary, criterion: Criterion) -> float:
@@ -958,8 +961,9 @@ class GridSpec:
             raise ValueError(f"steps must be >= 1, got {self.steps}")
 
     def points(self):
-        xs = np.linspace(*self.sigma2_c_range, self.steps)
-        ys = np.linspace(*self.sigma2_eps_range, self.steps)
+        # As floats: numpy holds an integer beyond 64 bits as an object.
+        xs = np.linspace(*map(float, self.sigma2_c_range), self.steps)
+        ys = np.linspace(*map(float, self.sigma2_eps_range), self.steps)
         return xs, ys
 
 

@@ -124,6 +124,18 @@ class TestConfig:
         assert result.exit_code != 0
         assert "invalid JSON" in result.output
 
+    @pytest.mark.parametrize("text", [
+        b'{"schema_version": 1, "model": {"rho": 1' + b"0" * 5000 + b"}}",
+        b'{"schema_version": 1, "space": {"restrictions": ["\xff"]}}',
+    ], ids=["digits-beyond-the-parser-limit", "not-utf-8"])
+    def test_unreadable_config_is_one_error(self, runner, tmp_path, text):
+        # Both ended in a ValueError traceback from the JSON reader.
+        path = tmp_path / "bad.json"
+        path.write_bytes(text)
+        result = runner.invoke(main, ["search", "--config", str(path),
+                                      "--out", str(tmp_path / "r")])
+        assert_one_error(result, 1, f"{path}: invalid JSON: ")
+
 
 class TestConfigErrors:
     """Bad configs end in one ``Error:`` line naming the field."""
@@ -290,9 +302,11 @@ class TestConfigErrors:
              "objective.w must be a finite number, got nan"),
             (lambda c: c["power"].update(alpha=float("-inf")),
              "power.alpha must be a finite number, got -inf"),
+            (lambda c: c["model"].update(rho=-10**400),
+             f"model.rho must be a finite number, got {-10**400}"),
         ],
         ids=["delta-nested", "delta-scalar", "delta-nan", "sigma2-inf",
-             "w-nan", "alpha-minus-inf"],
+             "w-nan", "alpha-minus-inf", "rho-beyond-every-float"],
     )
     def test_bad_number(self, runner, tmp_path, edit, expected):
         assert self.run_search(runner, tmp_path, edit) == f"Error: {expected}"
@@ -487,6 +501,64 @@ class TestConfigErrors:
             "--out", str(tmp_path / "r"),
         ])
         assert_one_error(result, 1, field)
+
+    @pytest.mark.parametrize("key,value", [
+        ("max_iterations", 0), ("max_iterations", -5), ("stall_limit", 0),
+        ("stall_limit", -2),
+    ])
+    def test_ce_iteration_limit_below_one(self, runner, tmp_path, key, value):
+        # max_iterations <= 0 used to end in "no admissible identifiable
+        # candidate was ever sampled", and a negative stall_limit ran.
+        cfg = {
+            "schema_version": 1,
+            "model": {"rho": 0.05},
+            "space": {"D": 2, "T": 3, "C": 3, "m": 2},
+            "ce": {"population_size": 20, "max_iterations": 2, key: value},
+        }
+        result = runner.invoke(main, [
+            "ce-search", "--config", write_json(tmp_path / "cfg.json", cfg),
+            "--out", str(tmp_path / "r"),
+        ])
+        assert_one_error(result, 1, f"ce: {key} must be >= 1")
+        assert result.output == f"Error: ce: {key} must be >= 1\n"
+
+    @pytest.mark.parametrize("command", ["search", "ce-search", "sensitivity"])
+    @pytest.mark.parametrize("entry", [[0, 5, 9], [0, -1, 2], [0, 1]],
+                             ids=["labels-above-D", "negative-label",
+                                  "length-not-in-T"])
+    def test_whitelist_entry_outside_the_space(self, runner, tmp_path,
+                                               command, entry):
+        # Such an entry admitted nothing, so the commands reported an
+        # empty or non-identifiable space instead of the entry.
+        cfg = {
+            "schema_version": 1,
+            "model": {"rho": 0.05},
+            "space": {"D": 3, "T": [3], "C": [3], "m": [4], "restrictions": [
+                "monotone", {"allowed_sequences": [[0, 1, 2], entry]}]},
+            "ce": {"population_size": 20, "max_iterations": 2},
+            "sensitivity": {"steps": 2},
+        }
+        result = runner.invoke(main, [
+            command, "--config", write_json(tmp_path / "cfg.json", cfg),
+            "--out", str(tmp_path / "r"),
+        ])
+        assert_one_error(result, 1, f"space.restrictions[1]."
+                         f"allowed_sequences[1] = {entry} is not a sequence "
+                         "of arms 0..2 whose length is in space.T")
+
+    def test_empty_whitelist_stays_legal(self, runner, tmp_path):
+        cfg = {
+            "schema_version": 1,
+            "model": {"rho": 0.05},
+            "space": {"D": 3, "T": [3], "C": [3], "m": [4],
+                      "restrictions": [{"allowed_sequences": []}]},
+        }
+        result = runner.invoke(main, [
+            "search", "--config", write_json(tmp_path / "cfg.json", cfg),
+            "--out", str(tmp_path / "r"),
+        ])
+        assert result.exit_code == 3, result.output
+        assert result.output == "no design in the space is identifiable\n"
 
     @pytest.mark.parametrize(
         "model,keys",

@@ -25,7 +25,7 @@ from swdesign.inference import (
     _gauss_legendre,
     _ndtr,
     _ndtri,
-    _tvn_upper,
+    _orthant,
     variance_limits,
 )
 from swdesign.model import CovarianceSummary
@@ -342,6 +342,28 @@ def _corr3(r):
     return R
 
 
+def _tvn_upper(h, r):
+    """``P(X > h)`` for standard trivariate normals, ``r = (r12, r13, r23)``.
+
+    One problem, or a stack on a trailing axis of ``h`` and ``r``, through
+    the package's orthant recursion.
+    """
+    h, r = np.asarray(h, dtype=float), np.asarray(r, dtype=float)
+    R = np.ones((3, 3, *r.shape[1:]))
+    for (i, j), v in zip(PAIRS, r):
+        R[i, j] = R[j, i] = v
+    return _orthant(h.reshape(3, -1), R.reshape(3, 3, -1)).reshape(h.shape[1:])
+
+
+def _moves_last(R):
+    """The variable :func:`_orthant` moves last in a correlation matrix.
+
+    It is the one least correlated with the others, the last of a tie.
+    """
+    top = np.abs(R - np.eye(len(R))).max(axis=1)
+    return int(np.flatnonzero(top == top.min())[-1])
+
+
 def _random_r(rng, kind):
     """Correlations of one random 3 x 3 correlation matrix of a kind.
 
@@ -569,6 +591,8 @@ class TestQuadrivariate:
         assert lows[:15].min() > 0.02 and lows[15:30].max() <= 1e-2
         assert np.abs(lows[30:45]).max() < 1e-12
         assert (np.abs(corr[:, :, 45:]) == 1.0).sum(axis=(0, 1)).min() == 6
+        last = {_moves_last(corr[:, :, j]) for j in range(60)}
+        assert last == {0, 1, 2, 3}
         limits = rng.uniform(-1.5, 2.0, size=(4, 60))
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
@@ -596,12 +620,6 @@ class TestQuadrivariate:
 # ---------------------------------------------------------------------------
 # Stacks of problems
 # ---------------------------------------------------------------------------
-
-
-def _tvn_case(r):
-    """Which reorder of :func:`_tvn_upper` a correlation triple takes."""
-    a = np.abs(r)
-    return 2 if a[0] > max(a[1], a[2]) else int(a[1] > a[2])
 
 
 @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
@@ -639,9 +657,10 @@ class TestBatches:
         r = np.array([_random_r(rng, kind) for kind in
                       ("regular", "near", "unit") for _ in range(12)]).T
         h = rng.uniform(-2.5, 2.5, size=r.shape)
-        # All three reorders, and r23 = +-1 after the reorder.
-        cases = [_tvn_case(r[:, j]) for j in range(r.shape[1])]
-        assert sorted(set(cases)) == [0, 1, 2]
+        # Each variable moves last, and in 12 problems the other two have
+        # r = +-1.
+        last = {_moves_last(_corr3(r[:, j])) for j in range(r.shape[1])}
+        assert last == {0, 1, 2}
         top = np.abs(r).max(axis=0)
         assert (top == 1).sum() == 12
         got = _tvn_upper(h, r)

@@ -222,3 +222,39 @@ def test_scan_path_keeps_lambda_as_entry_vectors():
     ))
     assert lambda_stacks(kernel) == []
     assert lambda_stacks((SRC / "search.py").read_text(encoding="utf-8")) == []
+
+
+def plackett_integrators(source: str) -> list[str]:
+    """Functions that integrate on the rule of Plackett's identity.
+
+    Each calls ``_tvn_nodes``; one that also calls itself is marked
+    recursive.
+    """
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.FunctionDef):
+            called = {call.func.id for call in ast.walk(node)
+                      if isinstance(call, ast.Call)
+                      and isinstance(call.func, ast.Name)}
+            if "_tvn_nodes" in called:
+                found.append(node.name + (" (recursive)" * (node.name in called)))
+    return sorted(found)
+
+
+def test_checker_lists_plackett_integrators():
+    source = ("def _tvn_upper(h, r):\n    t, w = _tvn_nodes()\n"
+              "def _orthant(h, r):\n    t, w = _tvn_nodes()\n"
+              "    return _orthant(h[:-1], r)\n"
+              "def _bvn_upper(h, k, r):\n    x, w = _gauss_legendre()\n")
+    assert plackett_integrators(source) == ["_orthant (recursive)",
+                                            "_tvn_upper"]
+
+
+def test_inference_has_one_orthant_integrator():
+    # Every q >= 3 takes one recursion of Plackett's identity; the former
+    # trivariate and quadrivariate integrators must not come back.
+    source = (SRC / "inference.py").read_text(encoding="utf-8")
+    assert plackett_integrators(source) == ["_orthant (recursive)"]
+    defined = {node.name for node in ast.walk(ast.parse(source))
+               if isinstance(node, ast.FunctionDef)}
+    assert not defined & {"_tvn_upper", "_qvn_upper"}
